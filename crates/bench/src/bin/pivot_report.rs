@@ -21,12 +21,11 @@ use std::time::Duration;
 
 use rfic_bench::workloads::random_lp;
 use rfic_lp::{PresolveConfig, PresolveStats, PricingRule};
-use rfic_milp::{instances, BranchRule, SolveOptions};
+use rfic_milp::{instances, SolveOptions};
 
 /// The pricing rules reported side by side.
-const RULES: [(PricingRule, &str); 3] = [
+const RULES: [(PricingRule, &str); 2] = [
     (PricingRule::Dantzig, "dantzig"),
-    (PricingRule::Devex, "devex"),
     (PricingRule::DualSteepestEdge, "dse"),
 ];
 
@@ -200,10 +199,7 @@ fn main() {
     // case and the dual-pivot column is the headline number.
     for items in [20usize, 30] {
         let model = instances::bench_knapsack(items);
-        for (rule, name) in [
-            (PricingRule::Dantzig, "dantzig"),
-            (PricingRule::DualSteepestEdge, "dse"),
-        ] {
+        for (rule, name) in RULES {
             let s = model
                 .solve(&SolveOptions::default().with_pricing(rule))
                 .expect("solvable");
@@ -223,14 +219,8 @@ fn main() {
     // stand-in is covered above; the single-strip layout solve itself is
     // exercised by the bench gate (it needs the netlist fixtures, which
     // this report keeps out of its dependency set).
-    let plain = SolveOptions::default()
-        .without_cuts()
-        .with_branching(BranchRule::MostFractional)
-        .with_pricing(PricingRule::Dantzig);
-    for (rule, name) in [
-        (PricingRule::Dantzig, "dantzig"),
-        (PricingRule::DualSteepestEdge, "dse"),
-    ] {
+    let plain = SolveOptions::default().without_cuts();
+    for (rule, name) in RULES {
         let s = instances::bench_knapsack(30)
             .solve(&SolveOptions {
                 time_limit: Duration::from_secs(30),

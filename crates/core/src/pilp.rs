@@ -39,46 +39,13 @@ use crate::layout::{Layout, Placement};
 use crate::model::{IlpConfig, IlpError, IlpWeights, LayoutIlp, ObjectId, PairSpec};
 use crate::report::LayoutReport;
 
-/// Tree-cut budget of one flow phase, mapped onto
-/// [`rfic_milp::SolveOptions`]'s `cut_every` / `max_cut_rounds` /
-/// `local_cuts` knobs. `None` in [`PhaseBudgets`] keeps that phase on
-/// root-only separation (which the flow additionally pins *off* — Gomory
-/// cuts never survive the root improvement gate on the big-M layout
-/// models, so tree cuts are the only separation a phase can opt into).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CutBudget {
-    /// Separate at nodes whose depth is a multiple of this (`>= 1`).
-    pub cut_every: usize,
-    /// Maximum separation rounds per eligible node.
-    pub max_cut_rounds: usize,
-    /// Allow locally valid cuts (kept on the node's subtree).
-    pub local_cuts: bool,
-}
-
-impl CutBudget {
-    /// A budget separating every `cut_every` levels with the solver's
-    /// default per-node round limit and local cuts enabled.
-    pub fn every(cut_every: usize) -> CutBudget {
-        CutBudget {
-            cut_every: cut_every.max(1),
-            max_cut_rounds: 2,
-            local_cuts: true,
-        }
-    }
-}
-
 /// Optional per-phase wall-clock budgets for the individual MILP solves;
 /// phases without a budget fall back to [`PilpConfig::solve_time_limit`].
 ///
 /// The three phases have very different solve profiles — Phase 1 routes
 /// blurred strips (cheap, many solves), Phase 3 repairs hard-length strips
 /// (few solves, occasionally expensive) — so one global per-solve limit is
-/// either too tight for refinement or too loose for routing. The same
-/// argument applies to cut separation, so each phase also carries an
-/// optional [`CutBudget`] (default: no tree cuts anywhere — measured at
-/// flow level, the small layout MILPs solve in so few nodes that
-/// separation overhead does not pay; the knobs exist for the larger
-/// windowed models of bigger circuits).
+/// either too tight for refinement or too loose for routing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBudgets {
     /// Per-solve budget in Phase 1 (blurred global routing).
@@ -87,12 +54,6 @@ pub struct PhaseBudgets {
     pub visualization: Option<Duration>,
     /// Per-solve budget in Phase 3 (iterative refinement).
     pub refinement: Option<Duration>,
-    /// Tree-cut budget in Phase 1.
-    pub routing_cuts: Option<CutBudget>,
-    /// Tree-cut budget in Phase 2.
-    pub visualization_cuts: Option<CutBudget>,
-    /// Tree-cut budget in Phase 3.
-    pub refinement_cuts: Option<CutBudget>,
 }
 
 impl PhaseBudgets {
@@ -102,15 +63,6 @@ impl PhaseBudgets {
             PilpPhase::GlobalRouting => self.routing,
             PilpPhase::Visualization => self.visualization,
             PilpPhase::Refinement => self.refinement,
-        }
-    }
-
-    /// The tree-cut budget configured for `phase`, if any.
-    pub fn cuts_for_phase(&self, phase: PilpPhase) -> Option<CutBudget> {
-        match phase {
-            PilpPhase::GlobalRouting => self.routing_cuts,
-            PilpPhase::Visualization => self.visualization_cuts,
-            PilpPhase::Refinement => self.refinement_cuts,
         }
     }
 }
@@ -182,7 +134,7 @@ impl Default for PilpConfig {
 impl PilpConfig {
     /// A fast configuration for tests and small circuits.
     ///
-    /// Re-tuned to the devex/Forrest–Tomlin solver: individual solves run
+    /// Re-tuned to the Forrest–Tomlin solver: individual solves run
     /// well under the old 5 s ceiling now, so the saved wall-clock buys
     /// two extra refinement iterations — the phase where exact-length
     /// repairs land — at a total runtime still below the old
@@ -202,7 +154,7 @@ impl PilpConfig {
     /// search and a larger refinement budget (Phase 3 is where hard-length
     /// solves occasionally need the extra headroom).
     ///
-    /// The budgets are tuned to the devex/Forrest–Tomlin solver: warm node
+    /// The budgets are tuned to the Forrest–Tomlin solver: warm node
     /// re-solves now skip refactorisation almost always and the single
     /// strip solve runs ~30 % faster, so the per-solve ceilings shrank
     /// (20/10/30 s → 15/8/20 s) — a solve that would previously graze its
@@ -217,7 +169,6 @@ impl PilpConfig {
                 routing: Some(Duration::from_secs(8)),
                 visualization: None,
                 refinement: Some(Duration::from_secs(20)),
-                ..PhaseBudgets::default()
             },
             solver_threads: 2,
             max_extra_chain_points: 4,
@@ -297,16 +248,6 @@ impl PilpConfigBuilder {
             PilpPhase::GlobalRouting => self.config.phase_budgets.routing = Some(limit),
             PilpPhase::Visualization => self.config.phase_budgets.visualization = Some(limit),
             PilpPhase::Refinement => self.config.phase_budgets.refinement = Some(limit),
-        }
-        self
-    }
-
-    /// Tree-cut budget for one phase (see [`CutBudget`]).
-    pub fn phase_cuts(mut self, phase: PilpPhase, cuts: CutBudget) -> Self {
-        match phase {
-            PilpPhase::GlobalRouting => self.config.phase_budgets.routing_cuts = Some(cuts),
-            PilpPhase::Visualization => self.config.phase_budgets.visualization_cuts = Some(cuts),
-            PilpPhase::Refinement => self.config.phase_budgets.refinement_cuts = Some(cuts),
         }
         self
     }
@@ -709,7 +650,6 @@ impl Pilp {
     }
 
     fn solve_options(&self, phase: PilpPhase) -> SolveOptions {
-        let cut_budget = self.config.phase_budgets.cuts_for_phase(phase);
         SolveOptions {
             time_limit: self
                 .config
@@ -734,35 +674,18 @@ impl Pilp {
             } else {
                 self.config.solver_threads
             },
-            // Most-fractional, not the solver's default pseudocost rule: on
-            // the degenerate big-M layout models pseudocost estimates are
-            // noise, and the measured flow is never better and up to ~1.5x
-            // slower with worse length matching under pseudocost (DESIGN.md
-            // has the numbers).
-            branching: rfic_milp::BranchRule::MostFractional,
             // Gomory cuts never survive the root-bound improvement gate on
-            // these models; separating them is pure overhead here.
+            // these models, and tree-wide cuts do not pay on MILPs this
+            // small; separating either is pure overhead here.
             cut_rounds: 0,
-            // Tree-wide cuts are opt-in per phase through the cut budgets
-            // (off by default — see `PhaseBudgets`).
-            cut_every: cut_budget.map_or(0, |c| c.cut_every),
-            max_cut_rounds: cut_budget.map_or(0, |c| c.max_cut_rounds),
-            local_cuts: cut_budget.is_some_and(|c| c.local_cuts),
-            // Dual steepest-edge, re-decided from flow-level measurement
-            // (DESIGN.md has the numbers): the layout node LPs are warm
-            // dual re-solves, and the DSE leaving rule plus the
-            // bound-flipping ratio test cut the tiny-circuit flow from
-            // ~23 s (the previous Dantzig pin) to ~7.3 s at the same 3/3
-            // exact lengths and DRC-clean result (total bends 2 → 4,
-            // still at the manual witness). Devex remains the wrong rule
-            // here — its refresh costs a full pricing scan on solves that
-            // finish in a handful of pivots.
-            pricing: rfic_milp::PricingRule::DualSteepestEdge,
+            cut_every: 0,
+            max_cut_rounds: 0,
+            local_cuts: false,
             // Presolve with doubleton/free-singleton substitution switched
             // off: substitution preserves the optimum but steers the
             // near-tie layout models (mip_gap 1e-4) onto optimal vertices
             // with measurably more bends — the same class of flow-level
-            // tuning as the branching and pricing pins above. Row/column
+            // tuning as the branching and pricing defaults. Row/column
             // elimination, activity bound tightening and equilibration all
             // stay on; the bound tightening in particular shrinks the
             // big-M boxes and is the biggest single win on the tiny-flow
@@ -781,6 +704,9 @@ impl Pilp {
             } else {
                 rfic_milp::PresolveConfig::off()
             },
+            // Branching and pricing are the solver defaults (most-fractional,
+            // dual steepest-edge); DESIGN.md has the flow-level measurements
+            // that chose them.
             ..SolveOptions::default()
         }
     }
@@ -1904,26 +1830,6 @@ mod tests {
             ..PilpConfig::fast()
         });
         assert_eq!(pinned.solve_options(PilpPhase::Refinement).threads, 3);
-    }
-
-    #[test]
-    fn cut_budgets_map_onto_solver_options_per_phase() {
-        let mut config = PilpConfig::fast();
-        config.phase_budgets.refinement_cuts = Some(CutBudget::every(2));
-        let pilp = Pilp::new(config);
-        let refine = pilp.solve_options(PilpPhase::Refinement);
-        assert_eq!(refine.cut_every, 2);
-        assert_eq!(refine.max_cut_rounds, 2);
-        assert!(refine.local_cuts);
-        // Phases without a budget stay on root-only separation (itself
-        // pinned off for the layout models).
-        let routing = pilp.solve_options(PilpPhase::GlobalRouting);
-        assert_eq!(routing.cut_every, 0);
-        assert_eq!(routing.max_cut_rounds, 0);
-        assert!(!routing.local_cuts);
-        assert_eq!(routing.cut_rounds, 0);
-        // `every` clamps a zero interval to a usable one.
-        assert_eq!(CutBudget::every(0).cut_every, 1);
     }
 
     #[test]

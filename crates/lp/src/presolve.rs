@@ -63,8 +63,8 @@ pub struct PresolveConfig {
     /// Coefficient-spread threshold (`max |a| / min |a|` over the reduced
     /// rows) below which scaling is skipped even when [`scale`] is on.
     /// Equilibration cannot improve an already well-scaled matrix (the
-    /// power-of-two factors round to 1) but still perturbs the Devex/DSE
-    /// pricing frameworks enough to change the pivot trajectory, so by
+    /// power-of-two factors round to 1) but still perturbs the DSE
+    /// pricing framework enough to change the pivot trajectory, so by
     /// default it only engages past a spread of `1e4` — where it starts
     /// buying real stability. Set to `0.0` to scale unconditionally.
     ///
@@ -1211,8 +1211,8 @@ fn finish(
     // Only engaged when the coefficient spread exceeds the configured
     // trigger: on an already well-scaled matrix equilibration cannot
     // improve the spread (the factors are powers of two rounded from
-    // geometric means ≈ 1) but it still perturbs Devex/DSE reference
-    // frameworks enough to change the pivot trajectory — measurably for
+    // geometric means ≈ 1) but it still perturbs the DSE reference
+    // framework enough to change the pivot trajectory — measurably for
     // the worse on the `lp_presolve/presolved_120x80` bench (50 vs 30
     // iterations). The double-precision simplex with its FT pivot-growth
     // gate is comfortable below the default ~1e4 spread; past that,

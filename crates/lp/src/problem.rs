@@ -17,23 +17,18 @@ pub enum Sense {
 
 /// Pricing rule of the simplex engines.
 ///
-/// The default devex rule prices the *primal* over a maintained candidate
-/// list with reference-framework weights — the fast path for cold solves.
-/// The classic Dantzig rule (full most-negative-reduced-cost scan every
-/// pivot) is retained so tests and benchmarks can pin the old behaviour
-/// and cross-check the paths against each other and the dense oracle.
-/// [`PricingRule::DualSteepestEdge`] instead accelerates the *dual*
-/// engine — the warm branch-and-bound re-solve path.
+/// Both rules price the *primal* engine the same way: a full Dantzig
+/// scan (every reduced cost recomputed each pivot, the most negative
+/// enters) with an exact smallest-ratio test. They differ in the *dual*
+/// engine, the warm branch-and-bound re-solve path. The default
+/// [`PricingRule::DualSteepestEdge`] is what the layout flow runs;
+/// [`PricingRule::Dantzig`] is the plain dual rule, kept as a rung of the
+/// flow's numerical fallback ladder and as a cross-check for tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PricingRule {
-    /// Devex reference-framework pricing over a candidate list with
-    /// periodic full refreshes (partial pricing).
-    #[default]
-    Devex,
-    /// Full Dantzig scan: recompute every reduced cost each pivot and take
-    /// the most negative. The pinned pre-devex behaviour — and a faithful
-    /// reproduction of the old pivot sequence, ratio-test tie-breaks
-    /// included.
+    /// Full Dantzig scan in the primal; the dual engine picks its leaving
+    /// row by maximum bound violation with a single-breakpoint ratio
+    /// test.
     Dantzig,
     /// Dual steepest-edge pricing with the bound-flipping (long-step)
     /// dual ratio test.
@@ -44,10 +39,9 @@ pub enum PricingRule {
     /// FTRAN'd entering column) instead of by maximum violation, and its
     /// ratio test sweeps multiple breakpoints of the piecewise-linear
     /// dual objective, flipping boxed nonbasic variables bound-to-bound
-    /// in one batched step. The *primal* engine under this rule behaves
-    /// exactly like [`PricingRule::Dantzig`] (full scan, exact ratio
-    /// test), so cold solves stay on the pinned trajectory and the rule
-    /// only changes the warm dual re-solve path it is meant to speed up.
+    /// in one batched step. The *primal* engine behaves exactly like
+    /// [`PricingRule::Dantzig`].
+    #[default]
     DualSteepestEdge,
 }
 
@@ -317,12 +311,12 @@ impl LinearProgram {
         self.iteration_limit = limit;
     }
 
-    /// Selects the primal pricing rule (default [`PricingRule::Devex`]).
+    /// Selects the pricing rule (default [`PricingRule::DualSteepestEdge`]).
     pub fn set_pricing(&mut self, pricing: PricingRule) {
         self.pricing = pricing;
     }
 
-    /// The configured primal pricing rule.
+    /// The configured pricing rule.
     pub fn pricing(&self) -> PricingRule {
         self.pricing
     }

@@ -16,14 +16,11 @@
 //!
 //! * **primal phase 1/2** — a composite-objective primal simplex: while any
 //!   basic variable violates its bounds the objective is the (piecewise
-//!   linear) sum of infeasibilities, afterwards the true costs. Phase-2
-//!   pricing is **devex** (reference-framework weights over a candidate
-//!   list, reduced costs maintained incrementally from the BTRAN'd pivot
-//!   row) with periodic full refreshes; [`PricingRule::Dantzig`] pins the
-//!   classic full most-negative scan for cross-checks. The ratio test is a
-//!   **Harris two-pass** (bounded-tolerance) test that picks the largest
-//!   pivot among the near-tied blockers, with Bland's rule (entering and
-//!   leaving) as the anti-cycling fallback after degenerate stalls,
+//!   linear) sum of infeasibilities, afterwards the true costs. Pricing is
+//!   the classic full most-negative (Dantzig) scan against fresh duals.
+//!   The ratio test picks the smallest ratio, breaking near-ties on the
+//!   larger pivot, with Bland's rule (entering and leaving) as the
+//!   anti-cycling fallback after degenerate stalls,
 //! * **dual simplex** — entered when a warm-start basis is dual feasible,
 //!   which is the cheap path after branch-and-bound bound changes or after
 //!   appending lazily separated constraint rows; its reduced costs are also
@@ -270,15 +267,6 @@ struct Solver<'a> {
     /// Consecutive degenerate steps; beyond a threshold the pricing falls
     /// back to Bland's rule.
     stall: usize,
-    /// Devex pricing state: incrementally maintained reduced costs (exact
-    /// for candidate-list members, stale elsewhere), reference-framework
-    /// weights, and the candidate list itself. Valid only while
-    /// `reduced_valid` holds; every full refresh recomputes the reduced
-    /// costs from fresh duals and resets the reference framework.
-    reduced: Vec<f64>,
-    devex_weights: Vec<f64>,
-    candidates: Vec<usize>,
-    reduced_valid: bool,
     /// `true` while dual steepest-edge weights are being maintained
     /// ([`PricingRule::DualSteepestEdge`]): every basis change — primal or
     /// dual — then updates `dse_weights`, so the snapshot handed to the
@@ -354,10 +342,6 @@ impl<'a> Solver<'a> {
             deadline: lp.time_limit().map(|d| std::time::Instant::now() + d),
             cancel: lp.cancel_token().cloned(),
             stall: 0,
-            reduced: Vec::new(),
-            devex_weights: Vec::new(),
-            candidates: Vec::new(),
-            reduced_valid: false,
             track_dse: lp.pricing() == PricingRule::DualSteepestEdge,
             dse_weights: Vec::new(),
             dual_iterations: 0,
@@ -693,124 +677,6 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Full devex refresh: recompute every reduced cost from fresh duals,
-    /// reset the reference framework (all weights 1) and rebuild the
-    /// candidate list from the most attractive eligible columns.
-    fn devex_refresh(&mut self) {
-        let y = Self::duals_vec(&mut self.factor, &self.basic, self.m, &self.cost);
-        if self.reduced.len() != self.n + self.m {
-            self.reduced = vec![0.0; self.n + self.m];
-            self.devex_weights = vec![1.0; self.n + self.m];
-        }
-        let mut eligible: Vec<(usize, f64)> = Vec::new();
-        for j in 0..self.n + self.m {
-            self.devex_weights[j] = 1.0;
-            if self.statuses[j] == VarStatus::Basic {
-                self.reduced[j] = 0.0;
-                continue;
-            }
-            let d = self.cost[j] - self.column_dot(j, &y);
-            self.reduced[j] = d;
-            if self.lower[j] == self.upper[j] {
-                continue; // fixed: can never move
-            }
-            if self.entering_direction(j, d).is_some() {
-                eligible.push((j, d.abs()));
-            }
-        }
-        // Keep the most attractive columns (weights are all 1 right after a
-        // refresh, so |d| is the devex score). The cap keeps per-pivot
-        // pricing O(list · column) instead of O(nnz(A)).
-        let cap = ((self.n + self.m) / 6).clamp(16, 64);
-        if eligible.len() > cap {
-            eligible.select_nth_unstable_by(cap - 1, |a, b| {
-                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            eligible.truncate(cap);
-        }
-        self.candidates = eligible.into_iter().map(|(j, _)| j).collect();
-        self.reduced_valid = true;
-    }
-
-    /// Picks the entering variable under devex pricing: the candidate with
-    /// the best `d²/w` score. Candidates that became basic or lost
-    /// eligibility are pruned in place; an empty (or exhausted) list
-    /// triggers a full refresh. Returns `None` only when a *fresh* refresh
-    /// finds no eligible column — the true optimality test.
-    fn devex_entering(&mut self) -> Option<(usize, f64)> {
-        for attempt in 0..2 {
-            if !self.reduced_valid {
-                self.devex_refresh();
-            }
-            let mut best: Option<(usize, f64, f64)> = None; // (var, dir, score)
-            let mut kept = std::mem::take(&mut self.candidates);
-            // Members that went basic (or fixed) leave the list; members
-            // that merely lost eligibility stay — their reduced costs keep
-            // being maintained and often recover, and dropping them caused
-            // a full refresh every few pivots near the optimum.
-            kept.retain(|&j| {
-                if self.statuses[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
-                    return false;
-                }
-                let d = self.reduced[j];
-                if let Some(dir) = self.entering_direction(j, d) {
-                    let score = d * d / self.devex_weights[j];
-                    if best.map(|(_, _, s)| score > s).unwrap_or(true) {
-                        best = Some((j, dir, score));
-                    }
-                }
-                true
-            });
-            self.candidates = kept;
-            if let Some((q, dir, _)) = best {
-                return Some((q, dir));
-            }
-            if attempt == 0 {
-                // List drained: the maintained reduced costs say nothing is
-                // attractive among the candidates, but stale columns outside
-                // the list may be. Refresh and try once more.
-                self.reduced_valid = false;
-            }
-        }
-        None
-    }
-
-    /// Devex post-pivot bookkeeping (old-basis quantities): update the
-    /// maintained reduced costs and reference weights of the candidate list
-    /// from the BTRAN'd pivot row, and hand the leaving variable a weight
-    /// and a place on the list.
-    ///
-    /// `rho` is `B⁻ᵀe_r` of the basis *before* the pivot, `alpha_rq` the
-    /// pivot element `w_r`.
-    fn devex_post_pivot(&mut self, q: usize, leaving: usize, rho: &[f64], alpha_rq: f64) {
-        let theta_d = self.reduced[q] / alpha_rq;
-        let w_ref = self.devex_weights[q];
-        for idx in 0..self.candidates.len() {
-            let j = self.candidates[idx];
-            if j == q || self.statuses[j] == VarStatus::Basic {
-                continue;
-            }
-            let alpha = self.column_dot(j, rho);
-            if alpha != 0.0 {
-                self.reduced[j] -= theta_d * alpha;
-                let ratio = alpha / alpha_rq;
-                let candidate_weight = ratio * ratio * w_ref;
-                if candidate_weight > self.devex_weights[j] {
-                    self.devex_weights[j] = candidate_weight;
-                }
-            }
-        }
-        // The leaving variable's reduced cost is exactly −θ_d (its tableau
-        // row coefficient is 1); it inherits the reference weight through
-        // the pivot and joins the candidate list.
-        self.reduced[leaving] = -theta_d;
-        self.devex_weights[leaving] = (w_ref / (alpha_rq * alpha_rq)).max(1.0);
-        self.reduced[q] = 0.0;
-        if !self.candidates.contains(&leaving) {
-            self.candidates.push(leaving);
-        }
-    }
-
     /// Dual steepest-edge (Forrest–Goldfarb) reference-weight update for a
     /// basis change at elimination position `pos` with FTRAN'd entering
     /// column `w` — old-basis quantities, so this must run *before* the
@@ -826,7 +692,7 @@ impl<'a> Solver<'a> {
     /// ```
     ///
     /// The cross terms `τ_k = ρ_k·ρ_pos` would cost an extra FTRAN of `ρ`
-    /// every pivot; like devex, the reference-framework variant drops them
+    /// every pivot; the reference-framework variant drops them
     /// and keeps the weights as the monotone lower envelope
     /// `β'_k = max(β_k, (w_k/α)²·β_pos)` — free, since `w` is already in
     /// hand from the ratio test, and accurate enough to steer the leaving
@@ -867,32 +733,20 @@ impl<'a> Solver<'a> {
     /// `sigma` with FTRAN'd column `w`. Returns `(step, blocker)`; no
     /// blocker means the direction is unbounded.
     ///
-    /// Under devex pricing (`harris = true`) this is a **Harris two-pass**
-    /// (bounded-tolerance) test: pass 1 finds the largest step acceptable
-    /// when every bound is relaxed by its feasibility tolerance; pass 2
-    /// picks, among the blockers whose exact ratio fits under that limit,
-    /// the one with the numerically largest pivot. Degenerate near-ties
-    /// thus resolve towards stable pivots and strictly longer steps
-    /// (bounded by the tolerance) instead of 1e-12 tie-windows.
-    ///
-    /// With `harris = false` — the pinned Dantzig rule, and always in
-    /// Bland fallback mode — the test is the exact pre-devex one: smallest
-    /// ratio wins, 1e-12 near-ties break on the larger pivot (Dantzig) or
-    /// the smallest basic variable index (Bland, which together with
-    /// smallest-index entering provably breaks cycles). Pinning the ratio
-    /// test alongside the pricing rule keeps `PricingRule::Dantzig` a
-    /// faithful reproduction of the old pivot sequence — the layout flow's
-    /// trajectory is chaotic in exactly these tie decisions.
+    /// The smallest ratio wins; 1e-12 near-ties break on the larger pivot
+    /// or, in Bland fallback mode, on the smallest basic variable index
+    /// (which together with smallest-index entering provably breaks
+    /// cycles). The layout flow's trajectory is chaotic in exactly these
+    /// tie decisions, so they are part of the pivot sequence's contract.
     fn ratio_test(
         &self,
         q: usize,
         sigma: f64,
         w: &[f64],
         use_bland: bool,
-        harris: bool,
     ) -> (f64, Option<Blocker>) {
-        // Breakpoint of one basic row: (exact ratio, relaxed ratio, to_upper).
-        let breakpoint = |k: usize, wk: f64| -> Option<(f64, f64, bool)> {
+        // Breakpoint of one basic row: (ratio, to_upper).
+        let breakpoint = |k: usize, wk: f64| -> Option<(f64, bool)> {
             let g = -sigma * wk;
             let j = self.basic[k];
             let x = self.x_basic[k];
@@ -901,92 +755,48 @@ impl<'a> Solver<'a> {
             // stop at the bound they move towards; infeasible basics stop
             // at the (violated) bound they re-enter through.
             if x < l - Self::feas_tol(l) {
-                (g > 0.0).then(|| ((l - x) / g, (l - x + Self::feas_tol(l)) / g, false))
+                (g > 0.0).then(|| ((l - x) / g, false))
             } else if x > u + Self::feas_tol(u) {
-                (g < 0.0).then(|| ((u - x) / g, (u - x - Self::feas_tol(u)) / g, true))
+                (g < 0.0).then(|| ((u - x) / g, true))
             } else if g > 0.0 && u.is_finite() {
-                Some(((u - x) / g, (u - x + Self::feas_tol(u)) / g, true))
+                Some(((u - x) / g, true))
             } else if g < 0.0 && l.is_finite() {
-                Some(((x - l) / -g, (x - l + Self::feas_tol(l)) / -g, false))
+                Some(((x - l) / -g, false))
             } else {
                 None
             }
         };
 
-        let flip_span = (self.lower[q].is_finite() && self.upper[q].is_finite())
-            .then(|| self.upper[q] - self.lower[q]);
-
-        if !harris || use_bland {
-            // Exact test with the pre-devex tie-breaks.
-            let mut t_best = f64::INFINITY;
-            let mut best_pivot = 0.0f64;
-            let mut best_leaving = usize::MAX;
-            let mut blocker: Option<Blocker> = None;
-            if let Some(span) = flip_span {
-                t_best = span;
-                best_pivot = 1.0;
-                blocker = Some(Blocker::Flip);
-            }
-            for (k, &wk) in w.iter().enumerate() {
-                if wk.abs() <= RATIO_PIVOT_TOL {
-                    continue;
-                }
-                if let Some((ratio, _, to_upper)) = breakpoint(k, wk) {
-                    let ratio = ratio.max(0.0);
-                    let j = self.basic[k];
-                    let tie_break = if use_bland {
-                        j < best_leaving
-                    } else {
-                        wk.abs() > best_pivot.abs()
-                    };
-                    if ratio < t_best - 1e-12 || (ratio < t_best + 1e-12 && tie_break) {
-                        t_best = ratio;
-                        best_pivot = wk;
-                        best_leaving = j;
-                        blocker = Some(Blocker::Basic { pos: k, to_upper });
-                    }
-                }
-            }
-            return (t_best, blocker);
-        }
-
-        // Harris pass 1: collect the breakpoints once and find the
-        // tolerance-relaxed limit step.
-        let mut breaks: Vec<(usize, f64, f64, bool)> = Vec::new(); // (pos, |wk|, exact, to_upper)
-        let mut t_lim = f64::INFINITY;
-        if let Some(span) = flip_span {
-            t_lim = span + TOLERANCE;
+        let mut t_best = f64::INFINITY;
+        let mut best_pivot = 0.0f64;
+        let mut best_leaving = usize::MAX;
+        let mut blocker: Option<Blocker> = None;
+        if self.lower[q].is_finite() && self.upper[q].is_finite() {
+            t_best = self.upper[q] - self.lower[q];
+            best_pivot = 1.0;
+            blocker = Some(Blocker::Flip);
         }
         for (k, &wk) in w.iter().enumerate() {
             if wk.abs() <= RATIO_PIVOT_TOL {
                 continue;
             }
-            if let Some((exact, relaxed, to_upper)) = breakpoint(k, wk) {
-                breaks.push((k, wk.abs(), exact, to_upper));
-                if relaxed < t_lim {
-                    t_lim = relaxed;
+            if let Some((ratio, to_upper)) = breakpoint(k, wk) {
+                let ratio = ratio.max(0.0);
+                let j = self.basic[k];
+                let tie_break = if use_bland {
+                    j < best_leaving
+                } else {
+                    wk.abs() > best_pivot.abs()
+                };
+                if ratio < t_best - 1e-12 || (ratio < t_best + 1e-12 && tie_break) {
+                    t_best = ratio;
+                    best_pivot = wk;
+                    best_leaving = j;
+                    blocker = Some(Blocker::Basic { pos: k, to_upper });
                 }
             }
         }
-        if !t_lim.is_finite() {
-            return (f64::INFINITY, flip_span.map(|_| Blocker::Flip));
-        }
-        // Harris pass 2: among the blockers whose exact ratio fits under
-        // the relaxed limit, take the largest pivot.
-        let mut best: Option<(usize, f64, f64, bool)> = None;
-        for &(pos, amag, exact, to_upper) in &breaks {
-            if exact <= t_lim && best.map(|(_, b, _, _)| amag > b).unwrap_or(true) {
-                best = Some((pos, amag, exact, to_upper));
-            }
-        }
-        match (best, flip_span) {
-            (Some((_, _, exact, _)), Some(span)) if span < exact => (span, Some(Blocker::Flip)),
-            (Some((pos, _, exact, to_upper)), _) => {
-                (exact.max(0.0), Some(Blocker::Basic { pos, to_upper }))
-            }
-            (None, Some(span)) => (span, Some(Blocker::Flip)),
-            (None, None) => (f64::INFINITY, None),
-        }
+        (t_best, blocker)
     }
 
     /// Long-step (piecewise-linear) phase-1 ratio test.
@@ -1097,15 +907,12 @@ impl<'a> Solver<'a> {
     /// Terminates at optimality, or with `Infeasible` / `Unbounded` /
     /// `IterationLimit`.
     ///
-    /// Phase 2 under [`PricingRule::Devex`] prices over the maintained
-    /// candidate list; phase 1 (composite costs change with the infeasible
-    /// set) and [`PricingRule::Dantzig`] scan all columns against fresh
-    /// duals. Basic values are maintained incrementally
-    /// (`x_B ← x_B − σ·t·w` per pivot) and refreshed from scratch at every
-    /// refactorisation.
+    /// Both phases scan all columns against fresh duals (composite costs
+    /// in phase 1, the true costs in phase 2). Basic values are maintained
+    /// incrementally (`x_B ← x_B − σ·t·w` per pivot) and refreshed from
+    /// scratch at every refactorisation.
     fn primal(&mut self) -> Result<(), LpError> {
         self.ensure_x_basic();
-        self.reduced_valid = false;
         // Once phase 1 stalls at a numerically tiny residual, those
         // violations are written off (up to ACCEPT_INFEAS) so the loop
         // proceeds to optimise the true objective instead of returning a
@@ -1133,9 +940,6 @@ impl<'a> Solver<'a> {
             if self.factor.needs_refactorization() {
                 self.refactorize_or_reset()?;
                 self.compute_x_basic();
-                // Refresh the maintained reduced costs against the fresh
-                // factors: incremental updates drift with the eta file.
-                self.reduced_valid = false;
             }
             let (mut infeasible, mut violation) = self.infeasible_positions(accept);
             let mut phase1 = !infeasible.is_empty();
@@ -1151,59 +955,49 @@ impl<'a> Solver<'a> {
             }
             was_phase1 = phase1;
             let use_bland = self.stall > self.m.max(50);
-            let use_devex = !phase1 && !use_bland && self.lp.pricing() == PricingRule::Devex;
-
-            let entering: Option<(usize, f64, f64)> = if use_devex {
-                self.devex_entering()
-                    .map(|(q, dir)| (q, dir, self.reduced[q]))
+            // Full-scan pricing against fresh duals: composite costs in
+            // phase 1, Dantzig (most negative) or Bland (smallest index)
+            // selection.
+            let cost_owned;
+            let cost: &[f64] = if phase1 {
+                // `infeasible` is the set just computed above (post
+                // flap-guard relaxation) — no second O(m) scan.
+                let mut c = vec![0.0; self.n + self.m];
+                for &k in &infeasible {
+                    let j = self.basic[k];
+                    c[j] = if self.x_basic[k] < self.lower[j] {
+                        -1.0
+                    } else {
+                        1.0
+                    };
+                }
+                cost_owned = c;
+                &cost_owned
             } else {
-                // Full-scan pricing against fresh duals: composite costs in
-                // phase 1, Dantzig (most negative) or Bland (smallest
-                // index) selection. Any pivot taken here invalidates the
-                // devex state.
-                self.reduced_valid = false;
-                let cost_owned;
-                let cost: &[f64] = if phase1 {
-                    // `infeasible` is the set just computed above (post
-                    // flap-guard relaxation) — no second O(m) scan.
-                    let mut c = vec![0.0; self.n + self.m];
-                    for &k in &infeasible {
-                        let j = self.basic[k];
-                        c[j] = if self.x_basic[k] < self.lower[j] {
-                            -1.0
-                        } else {
-                            1.0
-                        };
+                &self.cost
+            };
+            let y = Self::duals_vec(&mut self.factor, &self.basic, self.m, cost);
+            let mut chosen: Option<(usize, f64, f64)> = None; // (var, dir, d)
+            for (j, &cj) in cost.iter().enumerate() {
+                if self.statuses[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
+                    continue;
+                }
+                let d = cj - self.column_dot(j, &y);
+                if let Some(dir) = self.entering_direction(j, d) {
+                    if use_bland {
+                        chosen = Some((j, dir, d));
+                        break;
                     }
-                    cost_owned = c;
-                    &cost_owned
-                } else {
-                    &self.cost
-                };
-                let y = Self::duals_vec(&mut self.factor, &self.basic, self.m, cost);
-                let mut chosen: Option<(usize, f64, f64)> = None; // (var, dir, d)
-                for (j, &cj) in cost.iter().enumerate() {
-                    if self.statuses[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
-                        continue;
-                    }
-                    let d = cj - self.column_dot(j, &y);
-                    if let Some(dir) = self.entering_direction(j, d) {
-                        if use_bland {
-                            chosen = Some((j, dir, d));
-                            break;
-                        }
-                        if chosen
-                            .map(|(_, _, best)| d.abs() > best.abs())
-                            .unwrap_or(true)
-                        {
-                            chosen = Some((j, dir, d));
-                        }
+                    if chosen
+                        .map(|(_, _, best)| d.abs() > best.abs())
+                        .unwrap_or(true)
+                    {
+                        chosen = Some((j, dir, d));
                     }
                 }
-                chosen
-            };
+            }
 
-            let Some((q, sigma, d_q)) = entering else {
+            let Some((q, sigma, d_q)) = chosen else {
                 if phase1 {
                     if violation <= ACCEPT_INFEAS && accept < ACCEPT_INFEAS {
                         // Numerically feasible: absorb the residual and
@@ -1230,7 +1024,7 @@ impl<'a> Solver<'a> {
             let (t_best, blocker) = if phase1 && !use_bland {
                 self.ratio_test_phase1(q, sigma, &w, d_q)
             } else {
-                self.ratio_test(q, sigma, &w, use_bland, use_devex)
+                self.ratio_test(q, sigma, &w, use_bland)
             };
             let Some(block) = blocker else {
                 return if phase1 {
@@ -1263,19 +1057,8 @@ impl<'a> Solver<'a> {
                         VarStatus::AtUpper => VarStatus::AtLower,
                         other => other,
                     };
-                    // Basis unchanged: the devex state stays exact; the
-                    // flipped variable loses eligibility on its own.
                 }
                 Blocker::Basic { pos, to_upper } => {
-                    // The devex update needs the BTRAN'd pivot row of the
-                    // *pre-pivot* basis.
-                    let rho = if use_devex && self.reduced_valid {
-                        let mut rho = vec![0.0; self.m];
-                        self.factor.btran_unit(pos, &mut rho);
-                        Some(rho)
-                    } else {
-                        None
-                    };
                     if self.track_dse {
                         // The weights describe the basis, not the engine:
                         // primal pivots after the dual hand-off must keep
@@ -1293,9 +1076,6 @@ impl<'a> Solver<'a> {
                     self.statuses[q] = VarStatus::Basic;
                     self.basic[pos] = q;
                     self.x_basic[pos] = entering_value;
-                    if let Some(rho) = rho {
-                        self.devex_post_pivot(q, leaving, &rho, w[pos]);
-                    }
                     if !self.factor.update(pos, &w) {
                         // Stability-triggered rebuild: the incremental DSE
                         // framework rode on the same drifting factors.
@@ -1304,7 +1084,6 @@ impl<'a> Solver<'a> {
                         }
                         self.refactorize_or_reset()?;
                         self.compute_x_basic();
-                        self.reduced_valid = false;
                     }
                 }
             }
@@ -1420,9 +1199,8 @@ impl<'a> Solver<'a> {
             }
 
             // Dual ratio test. The touched set is scanned in ascending
-            // column order — the pre-devex scan order, so near-tie
-            // outcomes (which steer the chaotic layout flow) stay pinned
-            // for the non-DSE rules.
+            // column order, so near-tie outcomes (which steer the chaotic
+            // layout flow) stay pinned for the Dantzig rule.
             touched_sorted.clear();
             touched_sorted.extend_from_slice(alpha.touched());
             touched_sorted.sort_unstable();

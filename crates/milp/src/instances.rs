@@ -27,7 +27,7 @@ pub const KNAPSACK20_BENCH_SEED: u64 = 23;
 /// All three sizes are seeded instances from [`seeded_knapsack`] with
 /// per-size pinned seeds whose difficulty was *measured monotone* under
 /// the benchmark solver configuration (root cuts on, four workers): the
-/// serial tree sizes are 27, 77 and 1133 nodes for 10, 20 and 30 items,
+/// serial tree sizes are 25, 51 and 1415 nodes for 10, 20 and 30 items,
 /// and the wall times hold the same order with >2× separation between
 /// neighbours. The previous curve mixed the closed-form family (10, 30)
 /// with a seeded 20-item instance, and after the presolve layer the

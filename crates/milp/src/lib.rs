@@ -15,7 +15,7 @@
 //! * a **parallel best-first branch-and-cut** solver over the LP
 //!   relaxation: a shared node pool ordered by LP bound
 //!   ([`SolveOptions::threads`] workers, deterministic objective regardless
-//!   of the thread count), pseudocost branching, **Gomory mixed-integer,
+//!   of the thread count), most-fractional branching, **Gomory mixed-integer,
 //!   cover and clique cuts** separated from the simplex tableau at the
 //!   root ([`SolveOptions::cut_rounds`]) and — opt-in — throughout the
 //!   tree ([`SolveOptions::cut_every`]: globally valid node cuts are

@@ -1,6 +1,6 @@
 //! Parallel best-first branch-and-bound MILP solver over the LP relaxation,
-//! with warm-started node re-solves, root-node Gomory cuts and pseudocost
-//! branching.
+//! with warm-started node re-solves, root-node Gomory cuts and
+//! most-fractional branching.
 //!
 //! **Search organisation.** Open nodes live in a shared pool ordered by
 //! their parent LP bound (best-first), tie-broken by a monotone sequence
@@ -104,7 +104,9 @@ pub struct SolveOptions {
     /// backtrack. `false` restricts node separation to globally valid
     /// cuts. Irrelevant while `cut_every == 0`.
     pub local_cuts: bool,
-    /// Branching-variable selection rule.
+    /// Branching-variable selection rule. [`BranchRule`] has a single
+    /// variant; the field stays only because the layout-service benchmark
+    /// names it.
     pub branching: BranchRule,
     /// Presolve configuration applied to the root relaxation: the entire
     /// tree is searched in the reduced (and scaled) variable space, with
@@ -114,10 +116,10 @@ pub struct SolveOptions {
     /// golden/determinism suites cross-check both settings).
     pub presolve: PresolveConfig,
     /// Pricing rule handed to every LP solve (node re-solves, root,
-    /// heuristics). [`PricingRule::Devex`] is the general-purpose default;
-    /// the layout engine pins [`PricingRule::DualSteepestEdge`], which
-    /// accelerates exactly the warm dual node re-solves — see the enum
-    /// docs.
+    /// heuristics). The default [`PricingRule::DualSteepestEdge`] is what
+    /// the layout engine runs: it accelerates exactly the warm dual node
+    /// re-solves. [`PricingRule::Dantzig`] is the numerical fallback
+    /// ladder's rung — see the enum docs.
     pub pricing: PricingRule,
     /// Optional cooperative cancellation token shared with the caller:
     /// checked between nodes and inside every node LP's pivot loop (at
@@ -200,12 +202,6 @@ impl SolveOptions {
         self
     }
 
-    /// The same configuration with the given branching rule.
-    pub fn with_branching(mut self, branching: BranchRule) -> SolveOptions {
-        self.branching = branching;
-        self
-    }
-
     /// The same configuration with the given LP pricing rule.
     pub fn with_pricing(mut self, pricing: PricingRule) -> SolveOptions {
         self.pricing = pricing;
@@ -242,17 +238,15 @@ impl SolveOptions {
 }
 
 /// Which branching-variable selection rule the search uses.
+///
+/// The search only branches most-fractional. The enum (and
+/// [`SolveOptions::branching`]) stays solely because the layout-service
+/// benchmark names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BranchRule {
-    /// Pseudocost branching: prefer variables whose past branchings moved
-    /// the LP bound the most (ties broken by fractionality). The default —
-    /// measurably stronger on knapsack/assignment-like models.
+    /// Branch on the integer variable whose fractional part is closest to
+    /// ½ (see DESIGN.md for why pseudocost scores lost on layout models).
     #[default]
-    Pseudocost,
-    /// Plain most-fractional branching. The layout engine pins this rule:
-    /// on its heavily degenerate big-M models pseudocost estimates are
-    /// noise and most-fractional measures both faster and with fewer bends
-    /// (see DESIGN.md).
     MostFractional,
 }
 
@@ -410,15 +404,6 @@ impl WarmStart {
     }
 }
 
-/// How a node was created from its parent (pseudocost bookkeeping).
-#[derive(Debug, Clone, Copy)]
-struct BranchInfo {
-    var: usize,
-    up: bool,
-    /// Fractional part of the branching variable in the parent LP.
-    frac: f64,
-}
-
 /// A branch-and-bound node: bound tightenings relative to the root model,
 /// plus the optimal basis of the parent LP for the dual warm start.
 #[derive(Debug, Clone)]
@@ -430,8 +415,6 @@ struct Node {
     depth: usize,
     /// Optimal basis of the parent's LP relaxation.
     parent_basis: Option<Basis>,
-    /// Branching step that created this node.
-    branch: Option<BranchInfo>,
     /// Length of the shared tree-cut prefix the parent basis was produced
     /// under. Frozen while the subtree carries node cuts so the row layout
     /// under the basis stays a pure prefix of the child LPs.
@@ -655,16 +638,6 @@ impl LpWorkCounters {
     }
 }
 
-/// Per-variable pseudocost statistics: observed objective degradation per
-/// unit of fractionality, separately for up and down branches.
-#[derive(Debug, Clone, Copy, Default)]
-struct PseudoCost {
-    up_sum: f64,
-    up_n: u32,
-    down_sum: f64,
-    down_n: u32,
-}
-
 /// Mutable pool state guarded by one mutex.
 struct Pool {
     heap: BinaryHeap<OpenNode>,
@@ -717,7 +690,6 @@ pub(crate) struct Shared {
     stop: AtomicBool,
     limit_hit: AtomicBool,
     error: Mutex<Option<MilpError>>,
-    pseudo: Mutex<Vec<PseudoCost>>,
 }
 
 impl Shared {
@@ -834,102 +806,22 @@ impl Shared {
         open
     }
 
-    /// Pseudocost branching: pick the fractional integer variable with the
-    /// largest `max(d̂·f, ε)·max(û·(1−f), ε)` product score, where `d̂`/`û`
-    /// are the observed down/up degradations per unit of fractionality
-    /// (global per-side averages before a variable has its own
-    /// observations). Ties — including the all-degenerate case where every
-    /// observed degradation is zero, as in the big-M layout MILPs — are
-    /// broken by `f·(1−f)`, i.e. most-fractional, never by variable index.
-    ///
-    /// `observed` carries the pseudocost observation of the branch that
-    /// created the node being expanded (recorded under the same lock
-    /// acquisition — the pseudocost table is taken exactly once per node).
-    fn select_branch_var(
-        &self,
-        values: &[f64],
-        observed: Option<(&BranchInfo, f64)>,
-    ) -> Option<(usize, f64)> {
-        if self.options.branching == BranchRule::MostFractional {
-            // Lock-free fast path: no pseudocost table involved.
-            let mut best: Option<(usize, f64, f64)> = None; // (var, frac, f·(1−f))
-            for &v in &self.integer_vars {
-                let val = values[v];
-                let frac = val - val.floor();
-                if frac <= INT_TOLERANCE || frac >= 1.0 - INT_TOLERANCE {
-                    continue;
-                }
-                let tie = frac * (1.0 - frac);
-                if best.map(|(_, _, t)| tie > t).unwrap_or(true) {
-                    best = Some((v, frac, tie));
-                }
-            }
-            return best.map(|(v, frac, _)| (v, frac));
-        }
-        let mut pc = self.pseudo.lock_recover();
-        if let Some((branch, degradation)) = observed {
-            let span = if branch.up {
-                (1.0 - branch.frac).max(1e-6)
-            } else {
-                branch.frac.max(1e-6)
-            };
-            let per_unit = degradation.max(0.0) / span;
-            let entry = &mut pc[branch.var];
-            if branch.up {
-                entry.up_sum += per_unit;
-                entry.up_n += 1;
-            } else {
-                entry.down_sum += per_unit;
-                entry.down_n += 1;
-            }
-        }
-        let mut up_sum = 0.0;
-        let mut up_n = 0u64;
-        let mut down_sum = 0.0;
-        let mut down_n = 0u64;
-        for e in pc.iter() {
-            up_sum += e.up_sum;
-            up_n += u64::from(e.up_n);
-            down_sum += e.down_sum;
-            down_n += u64::from(e.down_n);
-        }
-        let global_up = if up_n > 0 { up_sum / up_n as f64 } else { 0.0 };
-        let global_down = if down_n > 0 {
-            down_sum / down_n as f64
-        } else {
-            0.0
-        };
-        let mut best: Option<(usize, f64, f64, f64)> = None; // (var, frac, score, tie)
+    /// Most-fractional branching: pick the fractional integer variable
+    /// with the largest `f·(1−f)`; ties go to the earliest variable.
+    fn select_branch_var(&self, values: &[f64]) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64, f64)> = None; // (var, frac, f·(1−f))
         for &v in &self.integer_vars {
             let val = values[v];
             let frac = val - val.floor();
             if frac <= INT_TOLERANCE || frac >= 1.0 - INT_TOLERANCE {
                 continue;
             }
-            let e = &pc[v];
-            let down = if e.down_n > 0 {
-                e.down_sum / f64::from(e.down_n)
-            } else {
-                global_down
-            };
-            let up = if e.up_n > 0 {
-                e.up_sum / f64::from(e.up_n)
-            } else {
-                global_up
-            };
-            // MostFractional took the lock-free fast path above; only the
-            // pseudocost score is computed here.
-            let score = (down * frac).max(1e-12) * (up * (1.0 - frac)).max(1e-12);
             let tie = frac * (1.0 - frac);
-            let better = match best {
-                None => true,
-                Some((_, _, s, t)) => score > s * (1.0 + 1e-9) || (score >= s && tie > t),
-            };
-            if better {
-                best = Some((v, frac, score, tie));
+            if best.map(|(_, _, t)| tie > t).unwrap_or(true) {
+                best = Some((v, frac, tie));
             }
         }
-        best.map(|(v, frac, _, _)| (v, frac))
+        best.map(|(v, frac, _)| (v, frac))
     }
 }
 
@@ -1211,15 +1103,9 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
         }
     };
     let mut node_bound = shared.minimised_bound(lp_solution.objective);
-    // The pseudocost observation uses the pre-cut LP bound: cut tightening
-    // is not branching degradation.
-    let observed = current
-        .branch
-        .as_ref()
-        .map(|b| (b, node_bound - current.parent_bound));
-    let mut branch_choice = shared.select_branch_var(&lp_solution.values, observed);
+    let mut branch_choice = shared.select_branch_var(&lp_solution.values);
     if shared.dominated(node_bound) {
-        return; // bound-dominated (the pseudocost observation is kept)
+        return; // bound-dominated
     }
 
     // --- tree-cut rounds ---------------------------------------------------
@@ -1244,9 +1130,8 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
                 if shared.dominated(node_bound) {
                     return; // the tightened bound alone prunes the subtree
                 }
-                // Re-select on the cut-tightened vertex (no second
-                // pseudocost observation: that was recorded above).
-                branch_choice = shared.select_branch_var(&lp_solution.values, None);
+                // Re-select on the cut-tightened vertex.
+                branch_choice = shared.select_branch_var(&lp_solution.values);
             }
         }
     }
@@ -1508,11 +1393,6 @@ fn make_children(
                     parent_bound: node_bound,
                     depth: node.depth + 1,
                     parent_basis: basis,
-                    branch: Some(BranchInfo {
-                        var,
-                        up: true,
-                        frac,
-                    }),
                     shared_rows,
                     node_cuts: node_cuts.to_vec(),
                 }
@@ -1526,11 +1406,6 @@ fn make_children(
                     parent_bound: node_bound,
                     depth: node.depth + 1,
                     parent_basis: basis,
-                    branch: Some(BranchInfo {
-                        var,
-                        up: false,
-                        frac,
-                    }),
                     shared_rows,
                     node_cuts: node_cuts.to_vec(),
                 }
@@ -1732,7 +1607,6 @@ fn branch_and_bound_impl(
 
     // --- shared search state ----------------------------------------------
     let thread_count = options.effective_threads().max(1);
-    let num_reduced_vars = base_lp.num_vars();
     let shared = std::sync::Arc::new(Shared {
         model: model.clone(),
         options: options.clone(),
@@ -1765,10 +1639,9 @@ fn branch_and_bound_impl(
         stop: AtomicBool::new(false),
         limit_hit: AtomicBool::new(false),
         error: Mutex::new(None),
-        pseudo: Mutex::new(vec![PseudoCost::default(); num_reduced_vars]),
     });
 
-    match shared.select_branch_var(&current_solution.values, None) {
+    match shared.select_branch_var(&current_solution.values) {
         None => {
             // Root already integral: done.
             let reduced = round_integers(&current_solution.values, &shared.integer_vars);
@@ -1800,7 +1673,6 @@ fn branch_and_bound_impl(
                 parent_bound: root_bound,
                 depth: 0,
                 parent_basis: Some(current_basis.clone()),
-                branch: None,
                 shared_rows: 0,
                 node_cuts: Vec::new(),
             };
@@ -2282,7 +2154,6 @@ mod tests {
             parent_bound: 0.0,
             depth: 1,
             parent_basis: None,
-            branch: None,
             shared_rows,
             node_cuts,
         };

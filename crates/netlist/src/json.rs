@@ -1,6 +1,6 @@
 //! Minimal JSON support for the wire formats: the netlist schema in
 //! [`crate::wire`] and the `serve` binary's line-delimited protocol
-//! (which re-exports this module as `rfic_layout::protocol`).
+//! (which imports this module directly).
 //!
 //! The workspace builds offline against a stub `serde`, so the wire
 //! format is parsed and emitted by hand. This is a complete little JSON

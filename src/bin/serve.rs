@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 
 use rfic_layout::core::{render, JobContext, JobHandle, Pilp, PilpConfig, PilpError, PilpResult};
 use rfic_layout::netlist::{benchmarks, wire, Netlist};
-use rfic_layout::protocol::{parse, Json, ObjectBuilder};
+use rfic_netlist::json::{parse, Json, ObjectBuilder};
 
 /// Longest accepted request line. Anything larger is answered with
 /// `line_too_long` and never reaches the JSON parser.

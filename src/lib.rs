@@ -19,8 +19,6 @@
 //! * [`em`] — thin-film microstrip transmission-line evaluation used to
 //!   reproduce the S-parameter comparison of Figure 11.
 //! * [`baseline`] — manual-style and sequential place-then-route baselines.
-//! * [`protocol`] — the hand-rolled JSON layer behind the `serve` binary's
-//!   line-delimited request/response protocol.
 //!
 //! # Quickstart
 //!
@@ -61,8 +59,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
-pub mod protocol;
 
 pub use rfic_baseline as baseline;
 pub use rfic_core as core;
