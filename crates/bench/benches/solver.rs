@@ -21,11 +21,14 @@ fn knapsack_model(items: usize) -> Model {
     instances::bench_knapsack(items)
 }
 
+/// One basis column of [`bench_basis`]: a `(row, value)` list.
+type Column = Vec<(usize, f64)>;
+
 /// A seeded sparse diagonally-dominant basis of dimension `m` (about five
-/// off-diagonal entries per column — the density of the layout bases)
-/// with a handful of Forrest–Tomlin updates absorbed, so the solve
-/// kernels run with a realistic eta file and rotated pivot order.
-fn bench_factorization(m: usize, seed: u64) -> rfic_lp::bench_support::Factorization {
+/// off-diagonal entries per column — the density of the layout bases),
+/// plus eight `(position, entering column)` basis changes drawn from the
+/// same stream.
+fn bench_basis(m: usize, seed: u64) -> (Vec<Column>, Vec<(usize, Column)>) {
     let mut state = seed | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -63,14 +66,26 @@ fn bench_factorization(m: usize, seed: u64) -> rfic_lp::bench_support::Factoriza
         col.dedup_by_key(|&mut (r, _)| r);
         col
     };
-    let columns: Vec<Vec<(usize, f64)>> = (0..m).map(&mut column).collect();
+    let columns: Vec<Column> = (0..m).map(&mut column).collect();
+    let updates = (0..8)
+        .map(|step| {
+            let pos = (step * 7 + 3) % m;
+            (pos, column(pos))
+        })
+        .collect();
+    (columns, updates)
+}
+
+/// The factorisation of [`bench_basis`] with its basis changes absorbed
+/// as Forrest–Tomlin updates, so the solve kernels run with a realistic
+/// eta file and rotated pivot order.
+fn bench_factorization(m: usize, seed: u64) -> rfic_lp::bench_support::Factorization {
+    let (columns, updates) = bench_basis(m, seed);
     let mut f = rfic_lp::bench_support::Factorization::factorize(m, &columns)
         .expect("diagonally dominant basis");
-    // Absorb a few pivots so the kernels replay a non-empty eta file.
-    for step in 0..8 {
-        let pos = (step * 7 + 3) % m;
+    for (pos, entering) in updates {
         let mut w = vec![0.0; m];
-        for (r, v) in column(pos) {
+        for (r, v) in entering {
             w[r] = v;
         }
         f.ftran(&mut w);
@@ -83,6 +98,25 @@ fn bench_factorization(m: usize, seed: u64) -> rfic_lp::bench_support::Factoriza
 /// ~1µs, the same order as the timer quantisation, so each sample times a
 /// fixed batch and the reported figure is the per-batch aggregate.
 const SOLVES_PER_SAMPLE: usize = 64;
+
+fn bench_lp_factorize(c: &mut Criterion) {
+    // The from-scratch LU factorisation every refactorisation pays: at
+    // m = 223 the size of the larger layout node LPs' bases, whose unit
+    // (slack) columns the reach-only elimination lets skip the earlier
+    // steps they never touch.
+    let mut group = c.benchmark_group("lp_factorize");
+    group.sample_size(300);
+    for m in [60usize, 223] {
+        let (columns, _) = bench_basis(m, 0x5EED_FAC7);
+        group.bench_function(format!("layout_{m}"), |b| {
+            b.iter(|| {
+                rfic_lp::bench_support::Factorization::factorize(m, &columns)
+                    .expect("diagonally dominant basis")
+            });
+        });
+    }
+    group.finish();
+}
 
 fn bench_lp_ftran(c: &mut Criterion) {
     // The FTRAN kernel in isolation: the L replay, eta file and U
@@ -543,6 +577,7 @@ fn bench_strip_ilp(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lp,
+    bench_lp_factorize,
     bench_lp_ftran,
     bench_lp_btran,
     bench_lp_pricing,

@@ -37,8 +37,11 @@ fn worker_panic_fails_one_job_and_the_pool_recovers_bit_identically() {
     let circuit = benchmarks::tiny_circuit();
     let pilp = Pilp::new(PilpConfig::fast());
 
-    // Uninjected reference run on its own context.
+    // Uninjected reference run on its own context. Every run of this
+    // file holds the fault scope (an empty plan here), or a concurrent
+    // test's armed fault could fire inside it.
     let reference = {
+        let _quiet = FaultPlan::new().install();
         let ctx = JobContext::new(2);
         let result = pilp
             .submit_in(&circuit.netlist, &ctx)
@@ -68,10 +71,12 @@ fn worker_panic_fails_one_job_and_the_pool_recovers_bit_identically() {
 
     // Guard dropped: the same context — same pool, same cache — solves
     // the identical request to the identical layout.
-    let retry = pilp
-        .submit_in(&circuit.netlist, &ctx)
-        .wait()
-        .expect("the pool must survive a contained worker panic");
+    let retry = {
+        let _quiet = FaultPlan::new().install();
+        pilp.submit_in(&circuit.netlist, &ctx)
+            .wait()
+            .expect("the pool must survive a contained worker panic")
+    };
     assert_eq!(
         retry.layout, reference.layout,
         "the post-panic job must be bit-identical to an uninjected run"
@@ -134,10 +139,12 @@ fn flow_thread_panic_is_contained_as_internal() {
             other => panic!("expected PilpError::Internal, got {other:?}"),
         }
     }
-    let retry = pilp
-        .submit_in(&circuit.netlist, &ctx)
-        .wait()
-        .expect("the context must survive a contained flow panic");
+    let retry = {
+        let _quiet = FaultPlan::new().install();
+        pilp.submit_in(&circuit.netlist, &ctx)
+            .wait()
+            .expect("the context must survive a contained flow panic")
+    };
     assert!(retry.layout.is_complete(&circuit.netlist));
     ctx.shutdown();
 }

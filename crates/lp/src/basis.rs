@@ -20,7 +20,9 @@
 //! refactorise; refactorisation also fires periodically to bound fill-in
 //! and rounding-error accumulation.
 
-use crate::sparse::ScatterVec;
+use std::borrow::Borrow;
+
+use crate::sparse::{ScatterVec, SparseLists};
 
 /// Smallest pivot magnitude accepted during factorisation.
 const PIVOT_TOL: f64 = 1e-10;
@@ -60,11 +62,13 @@ pub struct Factorization {
     /// Row chosen as pivot of elimination step `k`.
     pivot_rows: Vec<usize>,
     /// Off-diagonal entries `(row position, u)` of `U` column `p`
-    /// (positions earlier than `p` in [`Factorization::pos_order`]).
-    ucols: Vec<Vec<(usize, f64)>>,
+    /// (positions earlier than `p` in [`Factorization::pos_order`]), in
+    /// one shared buffer so the clone of every warm start stays a few
+    /// contiguous copies.
+    ucols: SparseLists,
     /// Row-wise mirror of `ucols`: off-diagonal entries
     /// `(column position, u)` of `U` row `p`.
-    urows: Vec<Vec<(usize, f64)>>,
+    urows: SparseLists,
     /// Diagonal of `U` per elimination position.
     diag: Vec<f64>,
     /// Triangular elimination order of the positions: `U` is upper
@@ -99,20 +103,40 @@ pub struct Factorization {
 pub struct SingularBasis;
 
 impl Factorization {
+    /// The factorisation of the empty (`0 × 0`) basis: a placeholder for
+    /// solver state whose real factors have been moved out.
+    pub(crate) fn empty() -> Factorization {
+        Factorization::factorize(0, std::iter::empty::<[(usize, f64); 0]>()).expect("empty basis")
+    }
+
     /// Factorises the basis given as `m` sparse columns (`(row, value)`
-    /// lists).
-    pub fn factorize(
-        m: usize,
-        columns: &[Vec<(usize, f64)>],
-    ) -> Result<Factorization, SingularBasis> {
-        debug_assert_eq!(columns.len(), m);
+    /// entries, streamed — the simplex gathers them straight from the
+    /// constraint matrix without materialising one list per column).
+    ///
+    /// Each column is eliminated against the earlier steps it **reaches**
+    /// only: step `j` can change the column only if the column's entry in
+    /// step `j`'s pivot row is non-zero by the time step `j` runs, which
+    /// happens exactly when that row is one of the column's own rows or a
+    /// row written by an earlier reached step. Those steps are visited in
+    /// ascending order through a bitset over the steps, so the floating-point
+    /// operations are the ones — in the order — the plain all-steps loop
+    /// performs; every step it skips would have read an exact zero and
+    /// done nothing. On the slack-heavy layout bases most columns are unit
+    /// columns that reach one or two steps, which turns the `O(m²)` visit
+    /// count into work proportional to the fill.
+    pub fn factorize<C>(m: usize, columns: C) -> Result<Factorization, SingularBasis>
+    where
+        C: IntoIterator,
+        C::Item: IntoIterator,
+        <C::Item as IntoIterator>::Item: Borrow<(usize, f64)>,
+    {
         let mut f = Factorization {
             m,
             lower_ptr: vec![0],
             lower_data: Vec::new(),
             pivot_rows: Vec::with_capacity(m),
-            ucols: Vec::with_capacity(m),
-            urows: vec![Vec::new(); m],
+            ucols: SparseLists::new(m),
+            urows: SparseLists::new(0),
             diag: Vec::with_capacity(m),
             pos_order: (0..m).collect(),
             order_index: (0..m).collect(),
@@ -130,21 +154,47 @@ impl Factorization {
             last_spike: vec![0.0; m],
             scatter: ScatterVec::new(m),
         };
-        let mut pivoted = vec![false; m];
-        let mut work = ScatterVec::new(m);
-        for column in columns.iter() {
-            let k = f.pivot_rows.len();
-            for &(r, v) in column {
-                work.add(r, v);
+        // Elimination step that pivoted on each row (`UNPIVOTED` while the
+        // row is still free), and a bitset of the reached steps still to
+        // apply to the current column.
+        const UNPIVOTED: usize = usize::MAX;
+        let mut step_of_row = vec![UNPIVOTED; m];
+        let mut reached = vec![0u64; m.div_ceil(64)];
+        // Adds to the column and marks the step of a row touched for the
+        // first time (a row's step is fixed while its column is worked).
+        let add = |work: &mut ScatterVec, reached: &mut [u64], step_of_row: &[usize], row, v| {
+            if work.add(row, v) {
+                let step = step_of_row[row];
+                if step != UNPIVOTED {
+                    reached[step / 64] |= 1 << (step % 64);
+                }
             }
-            // Apply the previous elimination steps in order.
-            let mut upper_col: Vec<(usize, f64)> = Vec::new();
-            for j in 0..k {
+        };
+        let mut work = ScatterVec::new(m);
+        for column in columns {
+            let k = f.pivot_rows.len();
+            for entry in column {
+                let &(r, v) = entry.borrow();
+                add(&mut work, &mut reached, &step_of_row, r, v);
+            }
+            // Apply the reached elimination steps in ascending order. A
+            // step only writes rows unpivoted at its own time, so every
+            // step it reaches comes later: a forward scan of the bitset
+            // meets them in step order, and each exactly once.
+            let mut word = 0;
+            while word < reached.len() {
+                let bits = reached[word];
+                if bits == 0 {
+                    word += 1;
+                    continue;
+                }
+                reached[word] = bits & (bits - 1);
+                let j = word * 64 + bits.trailing_zeros() as usize;
                 let u = work.get(f.pivot_rows[j]);
                 if u.abs() > DROP_TOL {
-                    upper_col.push((j, u));
+                    f.ucols.push(k, (j, u));
                     for &(row, l) in &f.lower_data[f.lower_ptr[j]..f.lower_ptr[j + 1]] {
-                        work.add(row, -l * u);
+                        add(&mut work, &mut reached, &step_of_row, row, -l * u);
                     }
                 }
             }
@@ -152,7 +202,7 @@ impl Factorization {
             let mut pivot_row = usize::MAX;
             let mut pivot_val = 0.0f64;
             for &r in work.touched() {
-                if !pivoted[r] && work.get(r).abs() > pivot_val.abs() {
+                if step_of_row[r] == UNPIVOTED && work.get(r).abs() > pivot_val.abs() {
                     pivot_row = r;
                     pivot_val = work.get(r);
                 }
@@ -160,9 +210,9 @@ impl Factorization {
             if pivot_row == usize::MAX || pivot_val.abs() < PIVOT_TOL {
                 return Err(SingularBasis);
             }
-            pivoted[pivot_row] = true;
+            step_of_row[pivot_row] = k;
             for &r in work.touched() {
-                if !pivoted[r] {
+                if step_of_row[r] == UNPIVOTED {
                     let l = work.get(r) / pivot_val;
                     if l.abs() > DROP_TOL {
                         f.lower_data.push((r, l));
@@ -171,14 +221,14 @@ impl Factorization {
             }
             f.lower_ptr.push(f.lower_data.len());
             work.clear();
-            for &(i, u) in &upper_col {
-                f.urows[i].push((k, u));
-            }
-            f.fill += upper_col.len();
+            f.fill += f.ucols.list(k).len();
             f.pivot_rows.push(pivot_row);
             f.diag.push(pivot_val);
-            f.ucols.push(upper_col);
         }
+        debug_assert_eq!(f.pivot_rows.len(), m, "one basis column per row");
+        // Row `i` lists its entries by increasing column, as pushing them
+        // column by column would.
+        f.urows = f.ucols.transpose(m);
         f.base_fill = f.fill;
         Ok(f)
     }
@@ -273,7 +323,7 @@ impl Factorization {
             let xp = x[p] / self.diag[p];
             x[p] = xp;
             if xp != 0.0 {
-                for &(i, u) in self.ucols[p].iter() {
+                for &(i, u) in self.ucols.list(p) {
                     x[i] -= u * xp;
                 }
             }
@@ -292,7 +342,7 @@ impl Factorization {
         for k in 0..self.m {
             let p = self.pos_order[k];
             let mut v = c[p];
-            for &(i, u) in self.ucols[p].iter() {
+            for &(i, u) in self.ucols.list(p) {
                 v -= u * w[i];
             }
             w[p] = v / self.diag[p];
@@ -316,7 +366,7 @@ impl Factorization {
         for k in start..self.m {
             let p = self.pos_order[k];
             let mut v = if p == pos { 1.0 } else { 0.0 };
-            for &(i, u) in self.ucols[p].iter() {
+            for &(i, u) in self.ucols.list(p) {
                 v -= u * w[i];
             }
             w[p] = v / self.diag[p];
@@ -407,7 +457,7 @@ impl Factorization {
                 if wc != 0.0 {
                     check[c] += self.diag[c] * wc;
                     check_abs[c] += (self.diag[c] * wc).abs();
-                    for &(i, u) in &self.ucols[c] {
+                    for &(i, u) in self.ucols.list(c) {
                         check[i] += u * wc;
                         check_abs[i] += (u * wc).abs();
                     }
@@ -433,7 +483,7 @@ impl Factorization {
         // the spike entry of its pivot row. Nothing is committed until the
         // stability gate passes.
         let mut scatter = std::mem::take(&mut self.scatter);
-        for &(col, u) in self.urows[pos].iter() {
+        for &(col, u) in self.urows.list(pos) {
             scatter.add(col, u);
         }
         let mut new_diag = v[pos];
@@ -451,7 +501,7 @@ impl Factorization {
                 break;
             }
             eta_entries.push((c, mult));
-            for &(j, u) in self.urows[c].iter() {
+            for &(j, u) in self.urows.list(c) {
                 scatter.add(j, -mult * u);
             }
             if v[c] != 0.0 {
@@ -471,25 +521,24 @@ impl Factorization {
         }
 
         // Commit. Remove the old column and row of `pos` from both mirrors…
-        for &(i, _) in &self.ucols[pos] {
-            self.urows[i].retain(|&(j, _)| j != pos);
+        for &(i, _) in self.ucols.list(pos) {
+            self.urows.retain(i, |&(j, _)| j != pos);
         }
-        self.fill -= self.ucols[pos].len();
-        let old_row = std::mem::take(&mut self.urows[pos]);
-        for &(c, _) in &old_row {
-            self.ucols[c].retain(|&(i, _)| i != pos);
+        self.fill -= self.ucols.list(pos).len();
+        for &(c, _) in self.urows.list(pos) {
+            self.ucols.retain(c, |&(i, _)| i != pos);
         }
-        self.fill -= old_row.len();
+        self.fill -= self.urows.list(pos).len();
+        self.urows.clear(pos);
         // …write the spike as the new (last-position) column…
-        let mut new_col: Vec<(usize, f64)> = Vec::new();
+        self.ucols.clear(pos);
         for (i, &vi) in v.iter().enumerate() {
             if i != pos && vi.abs() > DROP_TOL {
-                new_col.push((i, vi));
-                self.urows[i].push((pos, vi));
+                self.ucols.push(pos, (i, vi));
+                self.urows.push(i, (pos, vi));
+                self.fill += 1;
             }
         }
-        self.fill += new_col.len();
-        self.ucols[pos] = new_col;
         self.diag[pos] = new_diag;
         // …rotate `pos` to the end of the pivot order…
         self.pos_order.remove(t);
@@ -513,6 +562,213 @@ impl Factorization {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The all-steps elimination `factorize` replaced: every column visits
+    /// every earlier step. Kept as the reference the reach-only
+    /// elimination must reproduce bit for bit.
+    fn factorize_all_steps(
+        m: usize,
+        columns: &[Vec<(usize, f64)>],
+    ) -> Result<Factorization, SingularBasis> {
+        let mut f = Factorization::factorize(0, std::iter::empty::<[(usize, f64); 0]>())?;
+        f.m = m;
+        f.pos_order = (0..m).collect();
+        f.order_index = (0..m).collect();
+        f.max_etas = (m / 2).clamp(16, 64);
+        f.xwork = vec![0.0; m];
+        f.last_spike = vec![0.0; m];
+        f.scatter = ScatterVec::new(m);
+        let mut pivoted = vec![false; m];
+        let mut work = ScatterVec::new(m);
+        let mut upper: Vec<Vec<(usize, f64)>> = Vec::new();
+        for column in columns {
+            let k = f.pivot_rows.len();
+            for &(r, v) in column {
+                work.add(r, v);
+            }
+            let mut upper_col: Vec<(usize, f64)> = Vec::new();
+            for j in 0..k {
+                let u = work.get(f.pivot_rows[j]);
+                if u.abs() > DROP_TOL {
+                    upper_col.push((j, u));
+                    for &(row, l) in &f.lower_data[f.lower_ptr[j]..f.lower_ptr[j + 1]] {
+                        work.add(row, -l * u);
+                    }
+                }
+            }
+            let mut pivot_row = usize::MAX;
+            let mut pivot_val = 0.0f64;
+            for &r in work.touched() {
+                if !pivoted[r] && work.get(r).abs() > pivot_val.abs() {
+                    pivot_row = r;
+                    pivot_val = work.get(r);
+                }
+            }
+            if pivot_row == usize::MAX || pivot_val.abs() < PIVOT_TOL {
+                return Err(SingularBasis);
+            }
+            pivoted[pivot_row] = true;
+            for &r in work.touched() {
+                if !pivoted[r] {
+                    let l = work.get(r) / pivot_val;
+                    if l.abs() > DROP_TOL {
+                        f.lower_data.push((r, l));
+                    }
+                }
+            }
+            f.lower_ptr.push(f.lower_data.len());
+            work.clear();
+            f.pivot_rows.push(pivot_row);
+            f.diag.push(pivot_val);
+            upper.push(upper_col);
+        }
+        // The `U` storage of that version, one vector per column and row,
+        // converted into the shared-buffer lists.
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        f.ucols = SparseLists::new(m);
+        for (k, col) in upper.iter().enumerate() {
+            for &(i, u) in col {
+                rows[i].push((k, u));
+                f.ucols.push(k, (i, u));
+            }
+            f.fill += col.len();
+        }
+        f.urows = SparseLists::new(m);
+        for (i, row) in rows.iter().enumerate() {
+            for &entry in row {
+                f.urows.push(i, entry);
+            }
+        }
+        f.base_fill = f.fill;
+        Ok(f)
+    }
+
+    /// Every stored factor value as raw bits, for exact comparison.
+    fn factor_bits(f: &Factorization) -> Vec<u64> {
+        let pairs = |list: &[(usize, f64)]| -> Vec<u64> {
+            list.iter()
+                .flat_map(|&(i, v)| [i as u64, v.to_bits()])
+                .collect()
+        };
+        let mut out = vec![
+            f.m as u64,
+            f.max_etas as u64,
+            f.base_fill as u64,
+            f.fill as u64,
+        ];
+        out.extend(f.lower_ptr.iter().map(|&p| p as u64));
+        out.extend(pairs(&f.lower_data));
+        out.extend(f.pivot_rows.iter().map(|&r| r as u64));
+        out.extend(f.diag.iter().map(|d| d.to_bits()));
+        for i in 0..f.m {
+            for list in [f.ucols.list(i), f.urows.list(i)] {
+                out.push(list.len() as u64);
+                out.extend(pairs(list));
+            }
+        }
+        out
+    }
+
+    /// A seeded basis shaped like the layout LPs' bases: about half unit
+    /// (slack) columns, the rest structural columns anchored on a row
+    /// permutation with a few off-diagonal entries drawn from the layout
+    /// models' coefficient classes (±1 ties, lengths, big-M terms), in a
+    /// shuffled column order so partial pivoting leaves the anchors.
+    fn layout_basis(m: usize, seed: u64) -> Vec<Vec<(usize, f64)>> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut perm: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            perm.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let classes = [1.0, -1.0, 2.0, -0.5, 37.25, -140.0, 1e3, -2.5e5];
+        let mut columns: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|k| {
+                let anchor = perm[k];
+                if next() % 2 == 0 {
+                    return vec![(anchor, 1.0)];
+                }
+                let mut col = vec![(anchor, classes[(next() % 8) as usize])];
+                for _ in 0..(next() % 6) {
+                    let r = (next() % m as u64) as usize;
+                    if r != anchor {
+                        col.push((r, classes[(next() % 8) as usize]));
+                    }
+                }
+                col.sort_unstable_by_key(|&(r, _)| r);
+                col.dedup_by_key(|&mut (r, _)| r);
+                col
+            })
+            .collect();
+        for i in (1..m).rev() {
+            columns.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        columns
+    }
+
+    /// The reach-only elimination must reproduce the all-steps factors bit
+    /// for bit, and with them every FTRAN/BTRAN result — before and after
+    /// Forrest–Tomlin updates.
+    #[test]
+    fn reach_only_elimination_matches_all_steps_bit_for_bit() {
+        let mut compared = 0;
+        for (m, seeds) in [(60usize, 0..24u64), (223, 0..12)] {
+            for seed in seeds {
+                let columns = layout_basis(m, 0x1A70_0000 + seed);
+                let reference = factorize_all_steps(m, &columns);
+                let reach = Factorization::factorize(m, &columns);
+                let (mut g, mut f) = match (reference, reach) {
+                    (Ok(g), Ok(f)) => (g, f),
+                    (Err(SingularBasis), Err(SingularBasis)) => continue,
+                    (g, f) => panic!("m={m} seed={seed}: {:?} vs {:?}", g.is_ok(), f.is_ok()),
+                };
+                assert_eq!(factor_bits(&f), factor_bits(&g), "m={m} seed={seed}");
+                let rhs: Vec<f64> = (0..m).map(|i| ((i * 7919) % 23) as f64 - 11.0).collect();
+                for step in 0..6 {
+                    let mut x1 = rhs.clone();
+                    let mut x2 = rhs.clone();
+                    f.ftran_aux(&mut x1);
+                    g.ftran_aux(&mut x2);
+                    let mut y1 = rhs.clone();
+                    let mut y2 = rhs.clone();
+                    f.btran(&mut y1);
+                    g.btran(&mut y2);
+                    let mut u1 = vec![0.0; m];
+                    let mut u2 = vec![0.0; m];
+                    f.btran_unit((step * 13) % m, &mut u1);
+                    g.btran_unit((step * 13) % m, &mut u2);
+                    for (a, b) in [(&x1, &x2), (&y1, &y2), (&u1, &u2)] {
+                        let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+                        let b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(a, b, "m={m} seed={seed} step={step}");
+                    }
+                    // Absorb the same column swap on both.
+                    let pos = (step * 17 + 5) % m;
+                    let entering = &columns[(pos + 1) % m];
+                    let mut w1 = vec![0.0; m];
+                    for &(r, v) in entering {
+                        w1[r] = v;
+                    }
+                    let mut w2 = w1.clone();
+                    f.ftran(&mut w1);
+                    g.ftran(&mut w2);
+                    if f.update(pos, &w1) != g.update(pos, &w2) {
+                        panic!("m={m} seed={seed} step={step}: update verdicts differ");
+                    }
+                }
+                compared += 1;
+            }
+        }
+        assert!(
+            compared >= 24,
+            "too many singular seeds: {compared} compared"
+        );
+    }
 
     fn dense_columns(cols: &[&[f64]]) -> Vec<Vec<(usize, f64)>> {
         cols.iter()
@@ -541,7 +797,7 @@ mod tests {
     fn ftran_btran_solve_small_system() {
         // B columns (3x3), deliberately needing a row swap.
         let cols: Vec<&[f64]> = vec![&[0.0, 2.0, 1.0], &[1.0, 0.0, 1.0], &[1.0, 1.0, 0.0]];
-        let mut f = Factorization::factorize(3, &dense_columns(&cols)).expect("nonsingular");
+        let mut f = Factorization::factorize(3, dense_columns(&cols)).expect("nonsingular");
         assert_eq!(f.dim(), 3);
 
         let mut b = vec![3.0, 5.0, 4.0];
@@ -566,7 +822,7 @@ mod tests {
     fn singular_basis_is_rejected() {
         let cols: Vec<&[f64]> = vec![&[1.0, 2.0], &[2.0, 4.0]];
         assert_eq!(
-            Factorization::factorize(2, &dense_columns(&cols)).unwrap_err(),
+            Factorization::factorize(2, dense_columns(&cols)).unwrap_err(),
             SingularBasis
         );
     }
@@ -574,7 +830,7 @@ mod tests {
     #[test]
     fn forrest_tomlin_update_matches_refactorization() {
         let cols: Vec<&[f64]> = vec![&[2.0, 0.0, 1.0], &[0.0, 1.0, 1.0], &[1.0, 1.0, 0.0]];
-        let mut f = Factorization::factorize(3, &dense_columns(&cols)).expect("nonsingular");
+        let mut f = Factorization::factorize(3, dense_columns(&cols)).expect("nonsingular");
 
         // Replace the column in position 1 with a_q = [1, 3, 0].
         let a_q = [1.0, 3.0, 0.0];
@@ -583,7 +839,7 @@ mod tests {
         assert!(f.update(1, &w));
 
         let new_cols: Vec<&[f64]> = vec![&[2.0, 0.0, 1.0], &a_q, &[1.0, 1.0, 0.0]];
-        let mut g = Factorization::factorize(3, &dense_columns(&new_cols)).expect("nonsingular");
+        let mut g = Factorization::factorize(3, dense_columns(&new_cols)).expect("nonsingular");
 
         let rhs = [4.0, -1.0, 2.5];
         let mut x1 = rhs.to_vec();
@@ -636,7 +892,7 @@ mod tests {
                 })
                 .collect()
         };
-        let mut f = Factorization::factorize(m, &dense(&cols)).expect("nonsingular");
+        let mut f = Factorization::factorize(m, dense(&cols)).expect("nonsingular");
         for step in 0..20 {
             let pos = (step * 5) % m;
             let mut a_q: Vec<f64> = (0..m).map(|_| next()).collect();
@@ -646,12 +902,12 @@ mod tests {
             if !f.update(pos, &w) {
                 // Stability refusal is legal; refactorise like the solver.
                 cols[pos] = a_q;
-                f = Factorization::factorize(m, &dense(&cols)).expect("nonsingular");
+                f = Factorization::factorize(m, dense(&cols)).expect("nonsingular");
                 continue;
             }
             cols[pos] = a_q;
 
-            let mut g = Factorization::factorize(m, &dense(&cols)).expect("nonsingular");
+            let mut g = Factorization::factorize(m, dense(&cols)).expect("nonsingular");
             let rhs: Vec<f64> = (0..m).map(|i| (i as f64) - 3.0).collect();
             let mut x1 = rhs.clone();
             f.ftran(&mut x1);
@@ -677,7 +933,7 @@ mod tests {
     #[test]
     fn tiny_update_pivot_is_refused() {
         let cols: Vec<&[f64]> = vec![&[1.0, 0.0], &[0.0, 1.0]];
-        let mut f = Factorization::factorize(2, &dense_columns(&cols)).expect("nonsingular");
+        let mut f = Factorization::factorize(2, dense_columns(&cols)).expect("nonsingular");
         // An entering column whose pivot element in position 0 is ~zero
         // (the spike diagonal is equally tiny for the identity basis).
         let mut w = vec![1e-12, 1.0];
@@ -691,14 +947,14 @@ mod tests {
         // Replacing the *last* pivot-order column leaves no sub-diagonal
         // remnants, so no row eta is recorded.
         let cols: Vec<&[f64]> = vec![&[1.0, 0.0], &[0.5, 1.0]];
-        let mut f = Factorization::factorize(2, &dense_columns(&cols)).expect("nonsingular");
+        let mut f = Factorization::factorize(2, dense_columns(&cols)).expect("nonsingular");
         let a_q = [1.0, 2.0];
         let mut w = a_q.to_vec();
         f.ftran(&mut w);
         assert!(f.update(1, &w));
         assert_eq!(f.eta_count(), 0, "pure column replacement needs no eta");
         let new_cols: Vec<&[f64]> = vec![&[1.0, 0.0], &a_q];
-        let mut g = Factorization::factorize(2, &dense_columns(&new_cols)).expect("nonsingular");
+        let mut g = Factorization::factorize(2, dense_columns(&new_cols)).expect("nonsingular");
         let mut x1 = vec![3.0, -1.0];
         f.ftran(&mut x1);
         let mut x2 = vec![3.0, -1.0];

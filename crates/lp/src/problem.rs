@@ -155,6 +155,11 @@ pub struct LinearProgram {
     /// Memoised constraint-matrix view (see [`MatrixCache`]); cleared by
     /// [`LinearProgram::add_var`] and [`LinearProgram::add_constraint`].
     matrix_cache: std::sync::OnceLock<std::sync::Arc<MatrixCache>>,
+    /// Set once the objective, constraint indices, coefficients and
+    /// right-hand sides passed validation; cleared by every edit of them.
+    /// Branch-and-bound node LPs are bound-mutated clones of one model, so
+    /// only their bounds are re-checked per solve.
+    structure_valid: std::sync::OnceLock<()>,
 }
 
 impl PartialEq for LinearProgram {
@@ -243,12 +248,14 @@ impl LinearProgram {
             cancel: None,
             pricing: PricingRule::default(),
             matrix_cache: std::sync::OnceLock::new(),
+            structure_valid: std::sync::OnceLock::new(),
         }
     }
 
     /// Adds a fresh variable with bounds `[0, +inf)` and returns its index.
     pub fn add_var(&mut self) -> usize {
         self.matrix_cache = std::sync::OnceLock::new();
+        self.structure_valid = std::sync::OnceLock::new();
         self.objective.push(0.0);
         self.lower.push(0.0);
         self.upper.push(f64::INFINITY);
@@ -292,6 +299,7 @@ impl LinearProgram {
     ///
     /// Panics if `var` is out of range.
     pub fn set_objective_coeff(&mut self, var: usize, coeff: f64) {
+        self.structure_valid = std::sync::OnceLock::new();
         self.objective[var] = coeff;
     }
 
@@ -343,6 +351,7 @@ impl LinearProgram {
     /// are summed.
     pub fn add_constraint(&mut self, coeffs: Vec<(usize, f64)>, op: ConstraintOp, rhs: f64) {
         self.matrix_cache = std::sync::OnceLock::new();
+        self.structure_valid = std::sync::OnceLock::new();
         self.constraints.push(Constraint { coeffs, op, rhs });
     }
 
@@ -376,6 +385,7 @@ impl LinearProgram {
     ///
     /// Panics if any variable index is out of range.
     pub fn patch_costs(&mut self, coeffs: &[(usize, f64)]) {
+        self.structure_valid = std::sync::OnceLock::new();
         for &(var, coeff) in coeffs {
             self.objective[var] = coeff;
         }
@@ -391,6 +401,7 @@ impl LinearProgram {
     ///
     /// Panics if `row` is out of range.
     pub fn patch_rhs(&mut self, row: usize, rhs: f64) {
+        self.structure_valid = std::sync::OnceLock::new();
         self.constraints[row].rhs = rhs;
     }
 
@@ -456,7 +467,8 @@ impl LinearProgram {
             .clone()
     }
 
-    /// Validates indices, coefficients and bounds.
+    /// Validates bounds on every call, and indices and coefficients once
+    /// per unedited model (see `structure_valid`).
     fn validate(&self) -> Result<(), LpError> {
         for (i, (&l, &u)) in self.lower.iter().zip(&self.upper).enumerate() {
             if l.is_nan() || u.is_nan() {
@@ -468,6 +480,15 @@ impl LinearProgram {
                 )));
             }
         }
+        if self.structure_valid.get().is_none() {
+            self.validate_structure()?;
+            let _ = self.structure_valid.set(());
+        }
+        Ok(())
+    }
+
+    /// Validates the objective and the constraint rows.
+    fn validate_structure(&self) -> Result<(), LpError> {
         for (i, c) in self.objective.iter().enumerate() {
             if !c.is_finite() {
                 return Err(LpError::InvalidModel(format!(
@@ -556,6 +577,20 @@ impl LinearProgram {
     pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<(LpSolution, Basis), LpError> {
         self.validate()?;
         revised::solve(self, warm)
+    }
+
+    /// Refactorises the factorisation cached on `basis` **in place** when
+    /// its update chain has grown too long for warm starts to reuse it, so
+    /// a basis that will seed several warm starts of this model (both
+    /// branch-and-bound children and the rounding heuristic) is
+    /// refactorised once instead of once per start. Warm solves from the
+    /// refreshed basis are bit-identical to solves from the original: each
+    /// would have computed this very factorisation itself. Returns `true`
+    /// when the factor was replaced; a basis of another matrix, without a
+    /// cached factor, with a short chain, or singular for this model is
+    /// left untouched.
+    pub fn refresh_basis(&self, basis: &mut Basis) -> bool {
+        revised::refresh_factor(self, basis)
     }
 
     /// Extracts the simplex tableau rows of the given *basic structural*
@@ -653,6 +688,37 @@ mod tests {
         let mut lp = LinearProgram::new(1, Sense::Minimize);
         lp.add_constraint(vec![(0, f64::INFINITY)], ConstraintOp::Le, 1.0);
         assert!(matches!(lp.solve(), Err(LpError::InvalidModel(_))));
+    }
+
+    #[test]
+    fn edits_after_a_validated_solve_are_validated_again() {
+        let base = {
+            let mut lp = LinearProgram::new(2, Sense::Minimize);
+            lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Ge, 1.0);
+            lp.solve().expect("valid model");
+            lp
+        };
+        // Every edit of the remembered structure resets the memo; a bound
+        // edit is checked on every solve anyway.
+        let edits: [fn(&mut LinearProgram); 6] = [
+            |lp| lp.set_objective_coeff(0, f64::NAN),
+            |lp| lp.patch_costs(&[(1, f64::INFINITY)]),
+            |lp| lp.patch_rhs(0, f64::NAN),
+            |lp| lp.add_constraint(vec![(5, 1.0)], ConstraintOp::Le, 1.0),
+            |lp| {
+                let v = lp.add_var();
+                lp.add_constraint(vec![(v, f64::NAN)], ConstraintOp::Le, 1.0);
+            },
+            |lp| lp.set_bounds(0, 3.0, 2.0),
+        ];
+        for (k, edit) in edits.iter().enumerate() {
+            let mut lp = base.clone();
+            edit(&mut lp);
+            assert!(
+                matches!(lp.solve(), Err(LpError::InvalidModel(_))),
+                "edit {k}"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //!   across warm starts on the [`Basis`]) and the ratio test is the
 //!   **bound-flipping (long-step)** test, which sweeps multiple
 //!   breakpoints of the piecewise-linear dual objective and flips boxed
-//!   nonbasics bound-to-bound in one batched extra FTRAN,
+//!   nonbasics bound-to-bound in one batched extra FTRAN. A dual ray (no
+//!   entering column) whose row provably cannot reach its violated bound
+//!   ends the solve as infeasible; any other ray falls back to the primal,
 //! * **bound flips** — nonbasic variables with two finite bounds move
 //!   bound-to-bound without a basis change.
 //!
@@ -41,10 +43,11 @@
 //! falling back to the all-logical cold basis when the warm basis is stale
 //! or singular.
 
-use crate::basis::Factorization;
+use crate::basis::{Factorization, SingularBasis};
 use crate::problem::{
     ConstraintOp, LinearProgram, LpError, LpSolution, MatrixCache, PricingRule, Sense,
 };
+use crate::sparse::ScatterVec;
 use crate::TOLERANCE;
 
 /// Reduced-cost (dual) tolerance.
@@ -57,7 +60,9 @@ const DEGENERATE_STEP: f64 = 1e-10;
 /// numerically tiny value.
 const ACCEPT_INFEAS: f64 = 1e-6;
 /// Hard ceiling on the violation the phase-flap guard may write off (see
-/// the flap counter in [`Solver::primal`]).
+/// the flap counter in [`Solver::primal`]); scaled by `1 + |bound|`, also
+/// the margin by which a dual ray must be certified before it counts as a
+/// proof of infeasibility.
 const ACCEPT_FLAP_CAP: f64 = 1e-4;
 /// Phase-2 → phase-1 re-entries tolerated before the flap guard fires.
 const MAX_PHASE_FLAPS: usize = 8;
@@ -172,6 +177,59 @@ impl Basis {
             matrix_fingerprint: 0,
             dse_weights: None,
         }
+    }
+}
+
+/// Iterates the `(row, value)` entries of the full column of variable `j`
+/// of a model with `n` structural variables (structural: matrix column;
+/// logical: unit vector).
+fn full_column(cache: &MatrixCache, n: usize, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let (structural, logical) = if j < n {
+        (Some(cache.matrix.col_iter(j)), None)
+    } else {
+        (None, Some((j - n, 1.0)))
+    };
+    structural.into_iter().flatten().chain(logical)
+}
+
+/// Factorises the basis matrix whose columns are the variables `basic`
+/// (in elimination order), streaming the columns out of the matrix view.
+fn factorize_basic(
+    cache: &MatrixCache,
+    n: usize,
+    m: usize,
+    basic: &[usize],
+) -> Result<Factorization, SingularBasis> {
+    Factorization::factorize(m, basic.iter().map(|&j| full_column(cache, n, j)))
+}
+
+/// Refactorises the cached factorisation of `basis` in place when its
+/// Forrest–Tomlin eta chain is too long for warm starts to reuse (see
+/// [`Factorization::worth_caching`]); `true` when the factor was replaced.
+///
+/// Every warm start of such a basis would otherwise refactorise the same
+/// columns itself, and branch and bound warm-starts each parent basis
+/// several times (both children, the rounding heuristic). The refreshed
+/// factor is exactly the one those adoptions compute, so their solves are
+/// unchanged bit for bit; only the repeated work goes. Bases without a
+/// factor, with a short chain, of another matrix, or whose columns are
+/// singular are left as they are.
+pub(crate) fn refresh_factor(lp: &LinearProgram, basis: &mut Basis) -> bool {
+    let cache = lp.matrix_cache();
+    let stale = basis.factor.as_ref().is_some_and(|f| !f.worth_caching());
+    if !stale
+        || basis.matrix_fingerprint != cache.fingerprint
+        || basis.num_structural != lp.num_vars()
+        || basis.num_rows() != lp.num_constraints()
+    {
+        return false;
+    }
+    match factorize_basic(&cache, lp.num_vars(), lp.num_constraints(), &basis.basic) {
+        Ok(factor) => {
+            basis.factor = Some(std::sync::Arc::new(factor));
+            true
+        }
+        Err(SingularBasis) => false,
     }
 }
 
@@ -333,7 +391,7 @@ impl<'a> Solver<'a> {
             rhs,
             statuses: Vec::new(),
             basic: Vec::new(),
-            factor: Factorization::factorize(0, &[]).expect("empty basis"),
+            factor: Factorization::empty(),
             x_basic: vec![0.0; m],
             x_staleness: usize::MAX,
             iterations: 0,
@@ -510,10 +568,7 @@ impl<'a> Solver<'a> {
     /// Snapshots the basis, **moving** the factorisation into the snapshot
     /// (no clone — only valid as the very last step of a solve).
     fn into_snapshot(mut self) -> Basis {
-        let factor = std::mem::replace(
-            &mut self.factor,
-            Factorization::factorize(0, &[]).expect("empty basis"),
-        );
+        let factor = std::mem::replace(&mut self.factor, Factorization::empty());
         let dse_weights = if self.track_dse && self.dse_weights.len() == self.m {
             Some(std::mem::take(&mut self.dse_weights))
         } else {
@@ -532,12 +587,7 @@ impl<'a> Solver<'a> {
     /// Iterates the `(row, value)` entries of the full column of variable
     /// `j` (structural: matrix column; logical: unit vector).
     fn column(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (structural, logical) = if j < self.n {
-            (Some(self.cache.matrix.col_iter(j)), None)
-        } else {
-            (None, Some((j - self.n, 1.0)))
-        };
-        structural.into_iter().flatten().chain(logical)
+        full_column(&self.cache, self.n, j)
     }
 
     /// Dot product of the column of variable `j` with a dense row vector.
@@ -549,13 +599,8 @@ impl<'a> Solver<'a> {
         }
     }
 
-    fn refactorize(&mut self) -> Result<(), crate::basis::SingularBasis> {
-        let columns: Vec<Vec<(usize, f64)>> = self
-            .basic
-            .iter()
-            .map(|&j| self.column(j).collect())
-            .collect();
-        self.factor = Factorization::factorize(self.m, &columns)?;
+    fn refactorize(&mut self) -> Result<(), SingularBasis> {
+        self.factor = factorize_basic(&self.cache, self.n, self.m, &self.basic)?;
         self.refactorizations += 1;
         Ok(())
     }
@@ -1091,7 +1136,9 @@ impl<'a> Solver<'a> {
     }
 
     /// Dual simplex from a dual-feasible basis; bails out (for the primal
-    /// engine) when dual feasibility is lost or progress stalls.
+    /// engine) when dual feasibility is lost, progress stalls or a dual ray
+    /// cannot be certified, and returns [`LpError::Infeasible`] on a
+    /// certified one.
     ///
     /// Reduced costs are computed once on entry and then maintained
     /// incrementally across pivots from the tableau row the ratio test
@@ -1136,8 +1183,12 @@ impl<'a> Solver<'a> {
         // non-zeros of ρ only (the CSR mirror): on the layout models ρ has
         // a handful of entries, so this replaces an every-column dot
         // product with work proportional to the touched rows.
-        let mut alpha = crate::sparse::ScatterVec::new(self.n + self.m);
+        let mut alpha = ScatterVec::new(self.n + self.m);
         let mut touched_sorted: Vec<usize> = Vec::new();
+        // Per-pivot dense buffers: the leaving row's `ρ = B⁻ᵀe_r` (fully
+        // overwritten by each BTRAN) and the entering column.
+        let mut rho = vec![0.0; self.m];
+        let mut w = vec![0.0; self.m];
         self.ensure_x_basic();
         loop {
             self.check_limits()?;
@@ -1184,7 +1235,6 @@ impl<'a> Solver<'a> {
             // Row r of B⁻¹A: alpha_j = (eᵣᵀ B⁻¹) a_j, needed for the ratio
             // test anyway — and sufficient to update every reduced cost
             // after the pivot.
-            let mut rho = vec![0.0; self.m];
             self.factor.btran_unit(r, &mut rho);
 
             alpha.clear();
@@ -1204,28 +1254,6 @@ impl<'a> Solver<'a> {
             touched_sorted.clear();
             touched_sorted.extend_from_slice(alpha.touched());
             touched_sorted.sort_unstable();
-            // x_r must move towards its violated bound when j moves in its
-            // own feasible direction: dx_r = −alpha·dx_j.
-            let eligible_dir = |statuses: &[VarStatus], j: usize, a: f64| -> bool {
-                match statuses[j] {
-                    VarStatus::AtLower => {
-                        if below {
-                            a < 0.0
-                        } else {
-                            a > 0.0
-                        }
-                    }
-                    VarStatus::AtUpper => {
-                        if below {
-                            a > 0.0
-                        } else {
-                            a < 0.0
-                        }
-                    }
-                    VarStatus::Free => true,
-                    VarStatus::Basic => false,
-                }
-            };
             let mut entering: Option<(usize, f64, f64)> = None; // (var, ratio, alpha)
             flips.clear();
             if use_dse {
@@ -1250,7 +1278,9 @@ impl<'a> Solver<'a> {
                         continue;
                     }
                     let a = alpha.get(j);
-                    if a.abs() <= RATIO_PIVOT_TOL || !eligible_dir(&self.statuses, j, a) {
+                    if a.abs() <= RATIO_PIVOT_TOL
+                        || !Self::moves_row_toward(self.statuses[j], a, below)
+                    {
                         continue;
                     }
                     bfrt_breaks.push((j, (d[j] / a).abs(), a));
@@ -1290,7 +1320,9 @@ impl<'a> Solver<'a> {
                         continue;
                     }
                     let a = alpha.get(j);
-                    if a.abs() <= RATIO_PIVOT_TOL || !eligible_dir(&self.statuses, j, a) {
+                    if a.abs() <= RATIO_PIVOT_TOL
+                        || !Self::moves_row_toward(self.statuses[j], a, below)
+                    {
                         continue;
                     }
                     let ratio = (d[j] / a).abs();
@@ -1307,10 +1339,13 @@ impl<'a> Solver<'a> {
                 }
             }
             let Some((q, ratio, alpha_rq)) = entering else {
-                // Dual ray found — but the entry check was only loose
-                // (1e-6) and tiny-pivot columns were excluded, so hand the
-                // infeasibility proof to the composite primal instead of
-                // asserting it here.
+                // Dual ray found. Tiny-pivot columns were excluded from the
+                // ratio test, so certify it on the row itself before
+                // asserting infeasibility; an uncertified ray goes to the
+                // composite primal for the proof.
+                if self.ray_certifies_infeasibility(r, &alpha) {
+                    return Err(LpError::Infeasible);
+                }
                 return Ok(DualOutcome::Abandoned);
             };
 
@@ -1320,7 +1355,7 @@ impl<'a> Solver<'a> {
                 0
             };
 
-            let mut w = vec![0.0; self.m];
+            w.fill(0.0);
             for (row, a) in self.column(q) {
                 w[row] = a;
             }
@@ -1424,6 +1459,77 @@ impl<'a> Solver<'a> {
                 self.recompute_dual_reduced(&mut d);
             }
         }
+    }
+
+    /// `true` when a nonbasic variable with status `status` and pivot-row
+    /// entry `a` moves basic row `r` towards its violated bound (the lower
+    /// one when `below`) as it leaves its own bound: `dx_r = −a·dx_j`.
+    fn moves_row_toward(status: VarStatus, a: f64, below: bool) -> bool {
+        match status {
+            VarStatus::AtLower => {
+                if below {
+                    a < 0.0
+                } else {
+                    a > 0.0
+                }
+            }
+            VarStatus::AtUpper => {
+                if below {
+                    a > 0.0
+                } else {
+                    a < 0.0
+                }
+            }
+            VarStatus::Free => true,
+            VarStatus::Basic => false,
+        }
+    }
+
+    /// Certifies the dual ray of basic row `r`, whose pivot row `alpha` the
+    /// ratio test found without an entering column, as a proof of primal
+    /// infeasibility.
+    ///
+    /// Row `r` reads `x_r = x̄_r − Σ_j α_rj·(x_j − x̄_j)` over the nonbasic
+    /// variables, so within their bounds `x_r` can move towards its
+    /// violated bound by at most the *reach* `Σ |α_rj|·span_j` over the
+    /// columns that push it that way. When the violation, recomputed from
+    /// scratch, exceeds that reach by at least `ACCEPT_FLAP_CAP·(1+|bound|)`
+    /// — the most the primal's write-off ratchets could ever absorb — no
+    /// point satisfies the bounds and the primal could only prove the
+    /// same. Any helpful column without a finite span (free, or one-sided)
+    /// makes the reach unbounded, however tiny its `|α_rj|`; the
+    /// certificate then fails and the primal decides. `alpha` is built
+    /// from the entries of `B⁻ᵀe_r` above `1e-13` only: the full dot
+    /// products pick up rounding noise of ~1e-17 on unbounded slack
+    /// columns, which would veto almost every certificate on the layout
+    /// models.
+    fn ray_certifies_infeasibility(&mut self, r: usize, alpha: &ScatterVec) -> bool {
+        self.ensure_x_basic();
+        let x = self.x_basic[r];
+        let (l, u) = (self.lower[self.basic[r]], self.upper[self.basic[r]]);
+        let (violation, bound, below) = if x < l {
+            (l - x, l, true)
+        } else if x > u {
+            (x - u, u, false)
+        } else {
+            return false;
+        };
+        let mut reach = 0.0;
+        for &j in alpha.touched() {
+            if self.statuses[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
+                continue;
+            }
+            let a = alpha.get(j);
+            if a == 0.0 || !Self::moves_row_toward(self.statuses[j], a, below) {
+                continue;
+            }
+            let span = self.upper[j] - self.lower[j];
+            if !span.is_finite() {
+                return false;
+            }
+            reach += a.abs() * span;
+        }
+        violation - reach >= ACCEPT_FLAP_CAP * (1.0 + bound.abs())
     }
 
     /// Recomputes the dual engine's maintained reduced costs from fresh
@@ -1591,7 +1697,8 @@ pub(crate) fn solve(
             "forced singular basis (failpoint)".into(),
         ));
     }
-    let debug = std::env::var_os("RFIC_LP_DEBUG").is_some();
+    static DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    let debug = *DEBUG.get_or_init(|| std::env::var_os("RFIC_LP_DEBUG").is_some());
     let t0 = std::time::Instant::now();
     let mut solver = Solver::new(lp, warm)?;
     let mut dual_iters = 0;
@@ -1617,4 +1724,76 @@ pub(crate) fn solve(
     }
     result?;
     Ok(solver.extract())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `coeff·v ≥ 5` over one variable `v` with bounds `[lower, upper]`,
+    /// zero costs (so every basis is dual feasible) and the logical basis:
+    /// the row's slack is basic and violated by 5, and `v` is its only
+    /// column. Returns what the dual engine makes of it.
+    fn dual_on_single_row(coeff: f64, lower: f64, upper: f64) -> Result<DualOutcome, LpError> {
+        let mut lp = LinearProgram::new(1, Sense::Minimize);
+        lp.set_bounds(0, lower, upper);
+        lp.add_constraint(vec![(0, coeff)], ConstraintOp::Ge, 5.0);
+        let mut solver = Solver::new(&lp, None).expect("logical basis");
+        solver.dual()
+    }
+
+    #[test]
+    fn certified_ray_ends_the_dual_with_infeasible() {
+        // No column helps at all, or only a boxed one whose reach (its
+        // span times |α|) falls short of the violation by far more than
+        // the margin: the ray is a proof.
+        assert!(matches!(
+            dual_on_single_row(-1.0, 0.0, 1.0),
+            Err(LpError::Infeasible)
+        ));
+        assert!(matches!(
+            dual_on_single_row(1e-10, 0.0, 1.0),
+            Err(LpError::Infeasible)
+        ));
+        assert!(matches!(
+            dual_on_single_row(1e-10, -3.0, 7.0),
+            Err(LpError::Infeasible)
+        ));
+    }
+
+    #[test]
+    fn ray_with_a_free_or_one_sided_tiny_column_falls_through_to_the_primal() {
+        // The ratio test skips |α| ≤ 1e-9, so these rows end in a ray, but
+        // the skipped column could move the row without limit: no
+        // certificate, the composite primal decides.
+        for (lower, upper) in [
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
+            let coeff = if upper > 0.0 { 1e-10 } else { -1e-10 };
+            assert!(
+                matches!(
+                    dual_on_single_row(coeff, lower, upper),
+                    Ok(DualOutcome::Abandoned)
+                ),
+                "bounds [{lower}, {upper}]"
+            );
+        }
+    }
+
+    #[test]
+    fn ray_within_the_margin_falls_through_to_the_primal() {
+        // Reach 4.99995 against violation 5: short by 5e-5, under the
+        // margin of 1e-4·(1 + |0|), so no certificate.
+        assert!(matches!(
+            dual_on_single_row(1e-10, 0.0, 4.99995e10),
+            Ok(DualOutcome::Abandoned)
+        ));
+        // Short by 1e-3: certified.
+        assert!(matches!(
+            dual_on_single_row(1e-10, 0.0, 4.999e10),
+            Err(LpError::Infeasible)
+        ));
+    }
 }

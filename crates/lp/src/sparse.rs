@@ -196,14 +196,17 @@ impl ScatterVec {
         self.values[i]
     }
 
-    /// Adds `v` at position `i`.
+    /// Adds `v` at position `i`; `true` when this is the first touch of
+    /// `i` since the last clear.
     #[inline]
-    pub fn add(&mut self, i: usize, v: f64) {
-        if !self.is_touched[i] {
+    pub fn add(&mut self, i: usize, v: f64) -> bool {
+        let first = !self.is_touched[i];
+        if first {
             self.is_touched[i] = true;
             self.touched.push(i);
         }
         self.values[i] += v;
+        first
     }
 
     /// Overwrites position `i` with `v`.
@@ -246,6 +249,128 @@ impl ScatterVec {
             self.is_touched[i] = false;
         }
         self.touched.clear();
+    }
+}
+
+/// `n` growable sparse lists of `(index, value)` entries sharing one
+/// buffer: the storage of the basis factorisation's `U` columns and rows.
+///
+/// Each list owns a slot `start..start + cap` of the buffer; a push into
+/// a full slot moves the list to a slot of twice the size at the end of
+/// the buffer, leaving the old slot as garbage. Entries keep their order
+/// through pushes, removals and moves (the triangular solves sum in list
+/// order). The point of the layout is [`Clone`]: copying the factors of a
+/// cached basis — one clone per warm start — is a few contiguous copies
+/// instead of one allocation per list, and the clone drops the garbage.
+#[derive(Debug)]
+pub(crate) struct SparseLists {
+    data: Vec<(usize, f64)>,
+    start: Vec<usize>,
+    len: Vec<usize>,
+    cap: Vec<usize>,
+}
+
+impl SparseLists {
+    /// `n` empty lists.
+    pub fn new(n: usize) -> SparseLists {
+        SparseLists {
+            data: Vec::new(),
+            start: vec![0; n],
+            len: vec![0; n],
+            cap: vec![0; n],
+        }
+    }
+
+    /// The entries of list `i`, in order.
+    #[inline]
+    pub fn list(&self, i: usize) -> &[(usize, f64)] {
+        &self.data[self.start[i]..self.start[i] + self.len[i]]
+    }
+
+    /// Appends `entry` to list `i`.
+    #[inline]
+    pub fn push(&mut self, i: usize, entry: (usize, f64)) {
+        let (start, len, cap) = (self.start[i], self.len[i], self.cap[i]);
+        if len == cap {
+            let grown = (2 * cap).max(4);
+            if start + cap == self.data.len() {
+                // The last slot grows in place.
+                self.data.resize(start + grown, (0, 0.0));
+            } else {
+                let moved = self.data.len();
+                self.data.extend_from_within(start..start + len);
+                self.data.resize(moved + grown, (0, 0.0));
+                self.start[i] = moved;
+            }
+            self.cap[i] = grown;
+        }
+        self.data[self.start[i] + len] = entry;
+        self.len[i] = len + 1;
+    }
+
+    /// Keeps only the entries of list `i` for which `keep` holds, in order.
+    pub fn retain(&mut self, i: usize, mut keep: impl FnMut(&(usize, f64)) -> bool) {
+        let start = self.start[i];
+        let mut kept = start;
+        for at in start..start + self.len[i] {
+            let entry = self.data[at];
+            if keep(&entry) {
+                self.data[kept] = entry;
+                kept += 1;
+            }
+        }
+        self.len[i] = kept - start;
+    }
+
+    /// Empties list `i` (its slot stays reserved for it).
+    pub fn clear(&mut self, i: usize) {
+        self.len[i] = 0;
+    }
+
+    /// Lists where entry `(j, v)` of list `i` of `self` becomes entry
+    /// `(i, v)` of list `j`, `n` lists in all. Each list of the result
+    /// holds its entries in increasing `i`, the order pushing them list by
+    /// list would give.
+    pub fn transpose(&self, n: usize) -> SparseLists {
+        let mut out = SparseLists::new(n);
+        for i in 0..self.len.len() {
+            for &(j, _) in self.list(i) {
+                out.cap[j] += 1;
+            }
+        }
+        let mut next = 0;
+        for j in 0..n {
+            out.start[j] = next;
+            next += out.cap[j];
+        }
+        out.data = vec![(0, 0.0); next];
+        for i in 0..self.len.len() {
+            for &(j, v) in self.list(i) {
+                out.data[out.start[j] + out.len[j]] = (i, v);
+                out.len[j] += 1;
+            }
+        }
+        out
+    }
+}
+
+impl Clone for SparseLists {
+    /// Copies the live entries only, each list into a slot of its exact
+    /// length.
+    fn clone(&self) -> SparseLists {
+        let live = self.len.iter().sum();
+        let mut data = Vec::with_capacity(live);
+        let mut start = Vec::with_capacity(self.start.len());
+        for i in 0..self.start.len() {
+            start.push(data.len());
+            data.extend_from_slice(self.list(i));
+        }
+        SparseLists {
+            data,
+            start,
+            len: self.len.clone(),
+            cap: self.len.clone(),
+        }
     }
 }
 
@@ -294,5 +419,78 @@ mod tests {
         v.clear();
         assert_eq!(v.get(2), 0.0);
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn sparse_lists_keep_order_through_moves_and_clones() {
+        let mut lists = SparseLists::new(3);
+        // Interleaved pushes force moves of lists 0 and 1 past each other.
+        for k in 0..9 {
+            lists.push(k % 2, (k, k as f64));
+        }
+        lists.push(2, (7, 0.5));
+        lists.retain(0, |&(k, _)| k != 4);
+        assert_eq!(lists.list(0), &[(0, 0.0), (2, 2.0), (6, 6.0), (8, 8.0)]);
+        assert_eq!(lists.list(1), &[(1, 1.0), (3, 3.0), (5, 5.0), (7, 7.0)]);
+        let copy = lists.clone();
+        assert_eq!(copy.data.len(), 9, "the clone drops moved-out slots");
+        for i in 0..3 {
+            assert_eq!(copy.list(i), lists.list(i));
+        }
+        let t = copy.transpose(9);
+        assert_eq!(t.list(7), &[(1, 7.0), (2, 0.5)]);
+        assert!(t.list(4).is_empty());
+        lists.clear(1);
+        lists.push(1, (9, 9.0));
+        assert_eq!(lists.list(1), &[(9, 9.0)]);
+    }
+
+    /// Seeded random edits applied to the lists and to one `Vec` per list
+    /// must leave the same entries in the same order, through clones and
+    /// transposes.
+    #[test]
+    fn sparse_lists_match_one_vec_per_list() {
+        let mut state = 0x5EED_0F11_5750_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let n = 12;
+        let mut lists = SparseLists::new(n);
+        let mut model: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        for step in 0..4000 {
+            let i = next(n as u64) as usize;
+            match next(10) {
+                0 => {
+                    let cut = next(n as u64) as usize;
+                    lists.retain(i, |&(j, _)| j != cut);
+                    model[i].retain(|&(j, _)| j != cut);
+                }
+                1 if next(8) == 0 => {
+                    lists.clear(i);
+                    model[i].clear();
+                }
+                2 if next(16) == 0 => lists = lists.clone(),
+                _ => {
+                    let entry = (next(n as u64) as usize, step as f64);
+                    lists.push(i, entry);
+                    model[i].push(entry);
+                }
+            }
+            for (i, list) in model.iter().enumerate() {
+                assert_eq!(lists.list(i), &list[..], "list {i} after step {step}");
+            }
+        }
+        let t = lists.transpose(n);
+        for j in 0..n {
+            let want: Vec<(usize, f64)> = model
+                .iter()
+                .enumerate()
+                .flat_map(|(i, list)| list.iter().filter(|e| e.0 == j).map(move |e| (i, e.1)))
+                .collect();
+            assert_eq!(t.list(j), &want[..], "transposed list {j}");
+        }
     }
 }

@@ -1147,6 +1147,12 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
             shared.offer_incumbent(values, objective);
         }
         Some((var, _frac)) => {
+            // Both children and the heuristic warm-start from this basis:
+            // a factor worn past reuse is refactorised here, once, instead
+            // of by each of them (bit-identical solves either way).
+            if let Some(basis) = node_basis.as_mut() {
+                wlp.lp.refresh_basis(basis);
+            }
             // Optional rounding heuristic to seed the incumbent. The
             // heuristic solves over the cut-free base relaxation, so the
             // node basis is only a usable warm start while its row count
@@ -1650,6 +1656,9 @@ fn branch_and_bound_impl(
             shared.offer_incumbent(values, objective);
         }
         Some((var, _)) => {
+            // Refactorise once for the heuristic and both children (see
+            // `process_node`).
+            shared.base_lp.refresh_basis(&mut current_basis);
             if options.rounding_heuristic {
                 if let Some((vals, objective)) = rounding_heuristic(
                     model,
