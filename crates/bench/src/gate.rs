@@ -332,7 +332,7 @@ pub struct FlowRecord {
     /// Number of microstrips in the circuit.
     pub strips: u64,
     /// Strips that reached their exact target length (|error| < 1 nm·10³,
-    /// i.e. the flow's own `length_tolerance`).
+    /// i.e. the flow's own `rfic_core::drc::LENGTH_TOLERANCE_UM`).
     pub exact_lengths: u64,
     /// Total 90° bends over all strips.
     pub total_bends: u64,

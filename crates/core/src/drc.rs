@@ -18,6 +18,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::layout::Layout;
 
+/// Length error (µm) below which a strip counts as exactly matched: the
+/// P-ILP flow's acceptance tolerance and the checker's default.
+pub const LENGTH_TOLERANCE_UM: f64 = 1e-3;
+
 /// Tolerances used by the design-rule checker.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DrcOptions {
@@ -31,7 +35,7 @@ pub struct DrcOptions {
 impl Default for DrcOptions {
     fn default() -> Self {
         DrcOptions {
-            length_tolerance: 1e-3,
+            length_tolerance: LENGTH_TOLERANCE_UM,
             spacing_slack: 1e-3,
         }
     }

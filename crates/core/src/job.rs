@@ -104,7 +104,7 @@ impl JobContext {
 pub(crate) struct FlowCtl {
     cancel: CancelToken,
     deadline: Option<Instant>,
-    pool: Option<SolverPool>,
+    pool: SolverPool,
     cache: Option<Arc<FlowCache>>,
     models: Option<crate::cache::ModelView>,
     /// [`Netlist::fingerprint`] of the job's circuit (cache keying).
@@ -134,10 +134,8 @@ impl FlowCtl {
                 return Err(PilpError::DeadlineExceeded);
             }
         }
-        if let Some(pool) = &self.pool {
-            if pool.is_shut_down() {
-                return Err(PilpError::PoolShutdown);
-            }
+        if self.pool.is_shut_down() {
+            return Err(PilpError::PoolShutdown);
         }
         Ok(())
     }
@@ -162,9 +160,9 @@ impl FlowCtl {
         &self.cancel
     }
 
-    /// The shared pool, if the job runs pooled.
-    pub(crate) fn pool(&self) -> Option<&SolverPool> {
-        self.pool.as_ref()
+    /// The shared pool every solve of the run is scheduled on.
+    pub(crate) fn pool(&self) -> &SolverPool {
+        &self.pool
     }
 
     /// The shared solve-site cache, if attached.
@@ -309,7 +307,7 @@ pub(crate) fn spawn_job(
     let ctl = FlowCtl {
         cancel: cancel.clone(),
         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
-        pool: Some(ctx.pool.clone()),
+        pool: ctx.pool.clone(),
         cache: use_cache.then(|| Arc::clone(&ctx.cache)),
         models: use_cache.then(|| crate::cache::ModelView::new(Arc::clone(&ctx.models))),
         fingerprint: netlist.fingerprint(),
@@ -448,10 +446,11 @@ pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) 
                 // panicking variant fails itself without stranding the
                 // rest of the sweep or its waiters.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = rfic_lp::fault::fire("core.job.flow");
                     let ctl = FlowCtl {
                         cancel: thread_cancel.clone(),
                         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
-                        pool: Some(pool.clone()),
+                        pool: pool.clone(),
                         cache: Some(Arc::clone(&cache)),
                         models: Some(crate::cache::ModelView::new(Arc::clone(&models))),
                         fingerprint: netlist.fingerprint(),

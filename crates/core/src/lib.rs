@@ -66,7 +66,7 @@ pub use job::{JobContext, JobHandle, JobProgress, SweepHandle};
 pub use layout::{Layout, Placement};
 pub use model::{IlpConfig, IlpError, IlpOutcome, IlpWeights, LayoutIlp, ObjectId, PairSpec};
 pub use pilp::{
-    legalize_placements, PhaseBudgets, PhaseSnapshot, Pilp, PilpConfig, PilpConfigBuilder,
-    PilpError, PilpPhase, PilpResult, SolverTotals,
+    legalize_placements, PhaseBudgets, PhaseSnapshot, Pilp, PilpConfig, PilpError, PilpPhase,
+    PilpResult, SolverTotals,
 };
 pub use report::{ComparisonRow, LayoutReport, StripReport};

@@ -340,57 +340,36 @@ impl<'a> LayoutIlp<'a> {
     /// Returns [`IlpError::Solver`] if the MILP is infeasible, unbounded or
     /// no feasible solution was found within the limits.
     pub fn solve(&self, options: &SolveOptions) -> Result<IlpOutcome, IlpError> {
-        let solution = self.model.solve(options)?;
-        let layout = self.decode(&solution);
-        Ok(IlpOutcome {
-            objective: solution.objective,
-            layout,
-            solution,
-        })
+        self.outcome(self.model.solve(options))
     }
 
     /// Solves the ILP warm-started from (and updating) `warm` — the cheap
     /// path when the model only grew by lazily separated overlap pairs since
-    /// the basis in `warm` was captured.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LayoutIlp::solve`].
-    pub fn solve_warm(
-        &self,
-        options: &SolveOptions,
-        warm: &mut WarmStart,
-    ) -> Result<IlpOutcome, IlpError> {
-        let solution = self.model.solve_warm(options, warm)?;
-        let layout = self.decode(&solution);
-        Ok(IlpOutcome {
-            objective: solution.objective,
-            layout,
-            solution,
-        })
-    }
-
-    /// [`LayoutIlp::solve_warm`], but scheduling the branch-and-bound
-    /// search on a shared [`rfic_milp::SolverPool`] instead of spawning
-    /// per-solve worker threads — the path the job API uses so N
-    /// concurrent layout flows multiplex one fixed worker set.
+    /// the basis in `warm` was captured — with the branch-and-bound search
+    /// scheduled on a shared [`rfic_milp::SolverPool`] instead of
+    /// per-solve worker threads, so N concurrent layout flows multiplex
+    /// one fixed worker set.
     ///
     /// # Errors
     ///
     /// Same conditions as [`LayoutIlp::solve`], plus
     /// [`rfic_milp::MilpError::PoolShutdown`] if the pool has been shut
     /// down.
-    pub fn solve_warm_in_pool(
+    pub fn solve_warm(
         &self,
         options: &SolveOptions,
         warm: &mut WarmStart,
         pool: &rfic_milp::SolverPool,
     ) -> Result<IlpOutcome, IlpError> {
-        let solution = self.model.solve_warm_in_pool(options, warm, pool)?;
-        let layout = self.decode(&solution);
+        self.outcome(self.model.solve_warm(options, warm, Some(pool)))
+    }
+
+    /// Decodes a MILP solution into an [`IlpOutcome`].
+    fn outcome(&self, solution: Result<MilpSolution, MilpError>) -> Result<IlpOutcome, IlpError> {
+        let solution = solution?;
         Ok(IlpOutcome {
             objective: solution.objective,
-            layout,
+            layout: self.decode(&solution),
             solution,
         })
     }
@@ -420,7 +399,7 @@ impl<'a> LayoutIlp<'a> {
         self.model.patch_relaxation(lp)
     }
 
-    /// [`LayoutIlp::solve_warm_in_pool`] against a caller-supplied
+    /// [`LayoutIlp::solve_warm`] against a caller-supplied
     /// prebuilt (patched) relaxation — the sweep fast path that bypasses
     /// presolve so the retained basis re-enters with its factorisation
     /// and DSE weights (see [`rfic_milp::Model::solve_patched_in_pool`]).
@@ -435,13 +414,7 @@ impl<'a> LayoutIlp<'a> {
         pool: Option<&rfic_milp::SolverPool>,
         lp: &rfic_lp::LinearProgram,
     ) -> Result<IlpOutcome, IlpError> {
-        let solution = self.model.solve_patched_in_pool(options, warm, pool, lp)?;
-        let layout = self.decode(&solution);
-        Ok(IlpOutcome {
-            objective: solution.objective,
-            layout,
-            solution,
-        })
+        self.outcome(self.model.solve_patched_in_pool(options, warm, pool, lp))
     }
 
     // --- variables ---------------------------------------------------------

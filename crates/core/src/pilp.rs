@@ -103,8 +103,6 @@ pub struct PilpConfig {
     pub try_rotations: bool,
     /// Objective weights handed to the ILP models.
     pub weights: IlpWeights,
-    /// Length tolerance (µm) below which a strip counts as exactly matched.
-    pub length_tolerance: f64,
     /// Presolve the root relaxation of every MILP solve (reduction of
     /// fixed/implied structure plus geometric-mean scaling of the
     /// µm-vs-big-M coefficient spread). On by default; the golden and
@@ -125,7 +123,6 @@ impl Default for PilpConfig {
             max_extra_chain_points: 3,
             try_rotations: true,
             weights: IlpWeights::default(),
-            length_tolerance: 1e-3,
             presolve: true,
         }
     }
@@ -175,123 +172,6 @@ impl PilpConfig {
             try_rotations: true,
             ..PilpConfig::default()
         }
-    }
-
-    /// A fluent builder over the default configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use rfic_core::{PilpConfig, PilpPhase};
-    ///
-    /// let config = PilpConfig::builder()
-    ///     .fast()
-    ///     .threads(2)
-    ///     .phase_budget(PilpPhase::Refinement, Duration::from_secs(8))
-    ///     .deadline(Duration::from_secs(120))
-    ///     .build();
-    /// assert_eq!(config.solver_threads, 2);
-    /// ```
-    pub fn builder() -> PilpConfigBuilder {
-        PilpConfigBuilder::default()
-    }
-}
-
-/// Fluent builder for [`PilpConfig`].
-///
-/// The presets [`PilpConfigBuilder::fast`] and
-/// [`PilpConfigBuilder::thorough`] replace the whole configuration, so
-/// apply them **first** and layer individual overrides afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct PilpConfigBuilder {
-    config: PilpConfig,
-}
-
-impl PilpConfigBuilder {
-    /// Starts from [`PilpConfig::fast`] (replaces every knob set so far).
-    pub fn fast(mut self) -> Self {
-        self.config = PilpConfig::fast();
-        self
-    }
-
-    /// Starts from [`PilpConfig::thorough`] (replaces every knob set so
-    /// far).
-    pub fn thorough(mut self) -> Self {
-        self.config = PilpConfig::thorough();
-        self
-    }
-
-    /// Branch-and-bound worker threads per MILP solve (`0` = hardware
-    /// parallelism capped at 8; see [`PilpConfig::solver_threads`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.solver_threads = threads;
-        self
-    }
-
-    /// Overall wall-clock deadline for a flow run
-    /// ([`PilpConfig::deadline`]).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.config.deadline = Some(deadline);
-        self
-    }
-
-    /// Fallback time limit per individual MILP solve.
-    pub fn solve_time_limit(mut self, limit: Duration) -> Self {
-        self.config.solve_time_limit = limit;
-        self
-    }
-
-    /// Per-solve time budget for one phase (overrides the fallback).
-    pub fn phase_budget(mut self, phase: PilpPhase, limit: Duration) -> Self {
-        match phase {
-            PilpPhase::GlobalRouting => self.config.phase_budgets.routing = Some(limit),
-            PilpPhase::Visualization => self.config.phase_budgets.visualization = Some(limit),
-            PilpPhase::Refinement => self.config.phase_budgets.refinement = Some(limit),
-        }
-        self
-    }
-
-    /// Toggles root presolve of every MILP solve
-    /// ([`PilpConfig::presolve`]).
-    pub fn presolve(mut self, on: bool) -> Self {
-        self.config.presolve = on;
-        self
-    }
-
-    /// Maximum Phase-3 refinement iterations.
-    pub fn max_refine_iters(mut self, iters: usize) -> Self {
-        self.config.max_refine_iters = iters;
-        self
-    }
-
-    /// Maximum lazy overlap-separation rounds per ILP solve.
-    pub fn max_separation_rounds(mut self, rounds: usize) -> Self {
-        self.config.max_separation_rounds = rounds;
-        self
-    }
-
-    /// Whether refinement may rotate endpoint devices.
-    pub fn try_rotations(mut self, on: bool) -> Self {
-        self.config.try_rotations = on;
-        self
-    }
-
-    /// Confinement window size `τ_d` in µm.
-    pub fn tau_d(mut self, tau_d: f64) -> Self {
-        self.config.tau_d = tau_d;
-        self
-    }
-
-    /// Objective weights handed to the ILP models.
-    pub fn weights(mut self, weights: IlpWeights) -> Self {
-        self.config.weights = weights;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> PilpConfig {
-        self.config
     }
 }
 
@@ -942,7 +822,7 @@ impl Pilp {
                 .filter(|&id| {
                     let length_bad = layout
                         .length_error(netlist, id)
-                        .map(|e| e.abs() > self.config.length_tolerance)
+                        .map(|e| e.abs() > drc::LENGTH_TOLERANCE_UM)
                         .unwrap_or(true);
                     length_bad || !drc.for_strip(id).is_empty()
                 })
@@ -1148,7 +1028,7 @@ impl Pilp {
                 let after = error_sum(&updated);
                 if after + 1e-6 < before {
                     *layout = updated;
-                    if after <= self.config.length_tolerance * incident.len() as f64 {
+                    if after <= drc::LENGTH_TOLERANCE_UM * incident.len() as f64 {
                         return true;
                     }
                 }
@@ -1206,7 +1086,7 @@ impl Pilp {
                 if ok
                     && candidate
                         .length_error(netlist, strip_id)
-                        .map(|e| e.abs() <= self.config.length_tolerance)
+                        .map(|e| e.abs() <= drc::LENGTH_TOLERANCE_UM)
                         .unwrap_or(false)
                 {
                     *layout = candidate;
@@ -1227,17 +1107,17 @@ impl Pilp {
     /// ([`LayoutIlp::solve_warm`]) — appended rows enter through the dual
     /// simplex instead of triggering a cold rebuild-and-resolve.
     ///
-    /// Under a [`crate::job::FlowCtl`] the solves additionally honour the
-    /// job's cancel token and deadline (per-round time limits are capped
-    /// by the time remaining), run on the shared solver pool when one is
-    /// attached, and memoize through the cross-request [`crate::FlowCache`]
-    /// when one is attached: a completed site whose every round solved to
-    /// proven optimality is stored under the solve-site key, and an
-    /// identical later request returns the memoized layout without
-    /// touching the solver at all. (Seeding the warm *basis* instead was
-    /// measured to diverge: the presolve projection drops the dual
-    /// steepest-edge weights, so a seeded replay re-prices its pivots,
-    /// lands on alternate optima and costs more than a cold run.)
+    /// The solves honour the job's cancel token and deadline (per-round
+    /// time limits are capped by the time remaining), run on the job's
+    /// shared solver pool, and memoize through the cross-request
+    /// [`crate::FlowCache`] when one is attached: a completed site whose
+    /// every round solved to proven optimality is stored under the
+    /// solve-site key, and an identical later request returns the
+    /// memoized layout without touching the solver at all. (Seeding the
+    /// warm *basis* instead was measured to diverge: the presolve
+    /// projection drops the dual steepest-edge weights, so a seeded replay
+    /// re-prices its pivots, lands on alternate optima and costs more than
+    /// a cold run.)
     fn solve_with_separation(
         &self,
         netlist: &Netlist,
@@ -1434,7 +1314,7 @@ impl Pilp {
         free_strips.iter().all(|&id| {
             let exact = layout
                 .length_error(netlist, id)
-                .map(|e| e.abs() <= self.config.length_tolerance)
+                .map(|e| e.abs() <= drc::LENGTH_TOLERANCE_UM)
                 .unwrap_or(false);
             exact && drc.for_strip(id).is_empty()
         })
@@ -1475,7 +1355,7 @@ fn solve_patched_root(
         Some(basis) => rfic_milp::WarmStart::from_basis(basis),
         None => rfic_milp::WarmStart::new(),
     };
-    match ilp.solve_patched_in_pool(options, &mut patched_warm, ctl.pool(), &entry.lp) {
+    match ilp.solve_patched_in_pool(options, &mut patched_warm, Some(ctl.pool()), &entry.lp) {
         Ok(outcome) if outcome.solution.status == rfic_milp::SolveStatus::Optimal => {
             models.store(
                 key,
@@ -1517,11 +1397,7 @@ fn solve_with_fallback(
     ctl: &crate::job::FlowCtl,
     totals: &mut SolverTotals,
 ) -> Result<crate::model::IlpOutcome, IlpError> {
-    let solve = |opts: &SolveOptions, warm: &mut rfic_milp::WarmStart| match ctl.pool() {
-        Some(pool) => ilp.solve_warm_in_pool(opts, warm, pool),
-        None => ilp.solve_warm(opts, warm),
-    };
-    let mut last = match solve(options, warm) {
+    let mut last = match ilp.solve_warm(options, warm, ctl.pool()) {
         Ok(outcome) => return Ok(outcome),
         Err(e) if ladder_eligible(&e) => e,
         Err(e) => return Err(e),
@@ -1529,7 +1405,7 @@ fn solve_with_fallback(
     for rung in fallback_ladder(options) {
         totals.fallback_attempts += 1;
         let mut cold = rfic_milp::WarmStart::new();
-        match solve(&rung, &mut cold) {
+        match ilp.solve_warm(&rung, &mut cold, ctl.pool()) {
             Ok(outcome) => {
                 totals.fallback_recoveries += 1;
                 *warm = cold;

@@ -1,10 +1,10 @@
 //! Fault-injection contracts of the layout-job flow (compiled only with
 //! the `failpoints` feature): a panic anywhere inside a job — a solver
-//! worker or the flow thread itself — fails that job alone with
-//! [`PilpError::Internal`], the shared context stays healthy, and the
-//! next identical job reproduces the uninjected layout bit-for-bit. A
-//! forced singular basis instead recovers in-place through the solver
-//! fallback ladder.
+//! worker, the flow thread itself or one variant of a sweep — fails that
+//! job (or variant) alone with [`PilpError::Internal`], the shared
+//! context stays healthy, and the next identical job reproduces the
+//! uninjected layout bit-for-bit. A forced singular basis instead
+//! recovers in-place through the solver fallback ladder.
 
 #![cfg(feature = "failpoints")]
 
@@ -149,15 +149,49 @@ fn flow_thread_panic_is_contained_as_internal() {
     ctx.shutdown();
 }
 
+/// A panic on a sweep variant's flow is caught at that variant's
+/// boundary: the variant fails alone and the next variant of the same
+/// sweep still lays out at full quality.
+#[test]
+fn sweep_variant_panic_fails_only_that_variant() {
+    let circuit = benchmarks::tiny_circuit();
+    let variants = vec![circuit.netlist.clone(), circuit.netlist.clone()];
+    let ctx = JobContext::new(1);
+    let results = {
+        let _guard = FaultPlan::new()
+            .fail("core.job.flow", Fault::Panic)
+            .install();
+        Pilp::new(PilpConfig::fast())
+            .submit_sweep_in(&variants, &ctx)
+            .wait()
+    };
+    assert_eq!(results.len(), 2);
+    match &results[0] {
+        Err(PilpError::Internal { site, payload }) => {
+            assert_eq!(site, "core.job.sweep");
+            assert!(
+                payload.contains("failpoint:core.job.flow"),
+                "payload: {payload}"
+            );
+        }
+        other => panic!("expected PilpError::Internal, got {other:?}"),
+    }
+    let survivor = results[1]
+        .as_ref()
+        .expect("the second variant must survive the first one's panic");
+    assert_full_quality(survivor);
+    ctx.shutdown();
+}
+
 /// A delay injected at a flow checkpoint pushes the job past its
 /// deadline: the overall deadline wins over forward progress.
 #[test]
 fn checkpoint_delay_trips_the_deadline() {
     let circuit = benchmarks::tiny_circuit();
-    let config = PilpConfig::builder()
-        .fast()
-        .deadline(Duration::from_millis(50))
-        .build();
+    let config = PilpConfig {
+        deadline: Some(Duration::from_millis(50)),
+        ..PilpConfig::fast()
+    };
     let ctx = JobContext::new(1);
     let _guard = FaultPlan::new()
         .fail("core.job.checkpoint", Fault::Delay(200))

@@ -353,29 +353,12 @@ impl Model {
     /// See [`MilpError`]: infeasible or unbounded models are reported, as is
     /// hitting a limit before any integer-feasible solution was found.
     pub fn solve(&self, options: &SolveOptions) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound(self, options, None, None)
-    }
-
-    /// Solves the model on a shared [`crate::SolverPool`] instead of
-    /// spawning per-solve worker threads: the root LP still runs on the
-    /// calling thread, the tree search is registered with the pool and at
-    /// most [`SolveOptions::threads`] of its workers attach. The call
-    /// blocks until the tree is drained. Returns
-    /// [`MilpError::PoolShutdown`] if the pool has been shut down.
-    ///
-    /// The search itself is identical to [`Model::solve`], so the
-    /// returned objective is too — only *which* threads run the workers
-    /// changes.
-    pub fn solve_in_pool(
-        &self,
-        options: &SolveOptions,
-        pool: &crate::SolverPool,
-    ) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound(self, options, None, Some(pool))
+        solve::branch_and_bound(self, options, None, None, None)
     }
 
     /// Solves the model by branch and bound, reusing and updating the
-    /// warm-start state across calls.
+    /// warm-start state across calls. A fresh [`WarmStart::new`] solves
+    /// cold, exactly as [`Model::solve`] does.
     ///
     /// This is the entry point for **incremental constraint addition** (lazy
     /// separation): solve, append violated constraints (and possibly new
@@ -383,26 +366,24 @@ impl Model {
     /// re-enters through the dual simplex from the previous root basis
     /// instead of cold-starting.
     ///
+    /// `pool` schedules the tree search on a shared [`crate::SolverPool`]
+    /// instead of spawning per-solve worker threads: the root LP still
+    /// runs on the calling thread, the tree is registered with the pool
+    /// and at most [`SolveOptions::threads`] of its workers attach. The
+    /// search is identical either way, so the returned objective is too —
+    /// only *which* threads run the workers changes.
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`Model::solve`].
+    /// Same conditions as [`Model::solve`], plus
+    /// [`MilpError::PoolShutdown`] if `pool` has been shut down.
     pub fn solve_warm(
         &self,
         options: &SolveOptions,
         warm: &mut WarmStart,
+        pool: Option<&crate::SolverPool>,
     ) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound(self, options, Some(warm), None)
-    }
-
-    /// [`Model::solve_warm`] on a shared [`crate::SolverPool`] — see
-    /// [`Model::solve_in_pool`] for the pool contract.
-    pub fn solve_warm_in_pool(
-        &self,
-        options: &SolveOptions,
-        warm: &mut WarmStart,
-        pool: &crate::SolverPool,
-    ) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound(self, options, Some(warm), Some(pool))
+        solve::branch_and_bound(self, options, Some(warm), pool, None)
     }
 
     /// [`Model::solve_warm`] against a caller-supplied **prebuilt
@@ -432,7 +413,7 @@ impl Model {
         pool: Option<&crate::SolverPool>,
         lp: &LinearProgram,
     ) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound_prebuilt(self, options, Some(warm), pool, lp)
+        solve::branch_and_bound(self, options, Some(warm), pool, Some(lp))
     }
 }
 

@@ -5,9 +5,9 @@
 //! `SolveOptions::threads` scoped workers per call, so N concurrent MILP
 //! solves cost N×threads OS threads all contending for the same cores.
 //! A [`SolverPool`] inverts that: a fixed set of workers is spawned once,
-//! and every registered tree ([`Model::solve_in_pool`] /
-//! [`Model::solve_warm_in_pool`]) exposes up to `SolveOptions::threads`
-//! **slots** that idle pool workers attach to.
+//! and every tree registered through [`Model::solve_warm`] (or
+//! [`Model::solve_patched_in_pool`]) with `Some(pool)` exposes up to
+//! `SolveOptions::threads` **slots** that idle pool workers attach to.
 //!
 //! **Scheduling order.** Trees are served strictly in registration (FIFO)
 //! order: an idle worker scans the queue front-to-back and attaches to
@@ -167,7 +167,7 @@ impl SolverPool {
 
     /// Stops the pool: every queued tree is stopped through the limit
     /// flag (in-flight solves return their incumbent), the workers are
-    /// joined, and later [`Model::solve_in_pool`] calls fail with
+    /// joined, and later pooled [`Model::solve_warm`] calls fail with
     /// [`MilpError::PoolShutdown`]. Idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
@@ -293,7 +293,7 @@ fn worker_main(inner: Arc<PoolInner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{instances, SolveOptions};
+    use crate::{instances, SolveOptions, WarmStart};
 
     #[test]
     fn pooled_solve_matches_direct_solve() {
@@ -301,7 +301,9 @@ mod tests {
         let model = instances::bench_knapsack(20);
         let options = SolveOptions::default().with_threads(2);
         let direct = model.solve(&options).unwrap();
-        let pooled = model.solve_in_pool(&options, &pool).unwrap();
+        let pooled = model
+            .solve_warm(&options, &mut WarmStart::new(), Some(&pool))
+            .unwrap();
         assert_eq!(pooled.objective, direct.objective);
         pool.shutdown();
     }
@@ -326,7 +328,7 @@ mod tests {
                     let pool = &pool;
                     scope.spawn(move || {
                         instances::bench_knapsack(n)
-                            .solve_in_pool(&SolveOptions::default(), pool)
+                            .solve_warm(&SolveOptions::default(), &mut WarmStart::new(), Some(pool))
                             .unwrap()
                             .objective
                     })
@@ -346,7 +348,7 @@ mod tests {
         pool.shutdown();
         let model = instances::bench_knapsack(10);
         assert!(matches!(
-            model.solve_in_pool(&SolveOptions::default(), &pool),
+            model.solve_warm(&SolveOptions::default(), &mut WarmStart::new(), Some(&pool)),
             Err(MilpError::PoolShutdown)
         ));
     }

@@ -163,15 +163,6 @@ impl SolveOptions {
         }
     }
 
-    /// A loose configuration for large models: stop at 1 % gap.
-    pub fn coarse(time_limit: Duration) -> SolveOptions {
-        SolveOptions {
-            time_limit,
-            mip_gap: 1e-2,
-            ..SolveOptions::default()
-        }
-    }
-
     /// The same configuration with warm starts disabled (cold-start
     /// baseline for benchmarks and equivalence tests).
     pub fn cold(mut self) -> SolveOptions {
@@ -213,13 +204,6 @@ impl SolveOptions {
     /// determinism suites).
     pub fn without_presolve(mut self) -> SolveOptions {
         self.presolve = PresolveConfig::off();
-        self
-    }
-
-    /// The same configuration carrying a cooperative cancellation token
-    /// (see [`SolveOptions::cancel`]).
-    pub fn with_cancel(mut self, cancel: CancelToken) -> SolveOptions {
-        self.cancel = Some(cancel);
         self
     }
 
@@ -1437,31 +1421,14 @@ fn make_children(
 /// registered with a long-lived [`crate::SolverPool`] whose workers
 /// attach to the tree; both execute the identical `worker` loop, so the
 /// returned objective is the same either way.
-pub(crate) fn branch_and_bound(
-    model: &Model,
-    options: &SolveOptions,
-    warm: Option<&mut WarmStart>,
-    worker_pool: Option<&crate::pool::SolverPool>,
-) -> Result<MilpSolution, MilpError> {
-    branch_and_bound_impl(model, options, warm, worker_pool, None)
-}
-
-/// [`branch_and_bound`] against a caller-supplied prebuilt relaxation:
-/// presolve is bypassed (identity postsolve over `lp` itself), so the
-/// root re-enters from — and stores back — a **live** full-space basis
-/// whose factorisation and DSE weights survive. See
+///
+/// `warm` seeds the root from (and receives) the full-space root basis;
+/// `None` and an empty [`WarmStart`] both solve cold. A `prebuilt`
+/// relaxation bypasses presolve (identity postsolve over `lp` itself), so
+/// the root re-enters from — and stores back — a **live** full-space
+/// basis whose factorisation and DSE weights survive; see
 /// [`Model::solve_patched_in_pool`] for the contract.
-pub(crate) fn branch_and_bound_prebuilt(
-    model: &Model,
-    options: &SolveOptions,
-    warm: Option<&mut WarmStart>,
-    worker_pool: Option<&crate::pool::SolverPool>,
-    lp: &LinearProgram,
-) -> Result<MilpSolution, MilpError> {
-    branch_and_bound_impl(model, options, warm, worker_pool, Some(lp))
-}
-
-fn branch_and_bound_impl(
+pub(crate) fn branch_and_bound(
     model: &Model,
     options: &SolveOptions,
     warm: Option<&mut WarmStart>,
@@ -2090,7 +2057,7 @@ mod tests {
         let mut m = instances::seeded_knapsack(16, 11);
         let mut warm = WarmStart::new();
         let first = m
-            .solve_warm(&SolveOptions::default(), &mut warm)
+            .solve_warm(&SolveOptions::default(), &mut warm, None)
             .expect("first");
         assert!(warm.has_basis());
 
@@ -2103,7 +2070,7 @@ mod tests {
         m.add_le(LinExpr::sum(chosen.iter().copied()), k - 1.0);
 
         let second = m
-            .solve_warm(&SolveOptions::default(), &mut warm)
+            .solve_warm(&SolveOptions::default(), &mut warm, None)
             .expect("second");
         let cold = m.solve(&SolveOptions::default().cold()).expect("cold");
         assert!(

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use rfic_milp::{
     instances, LinExpr, MilpSolution, Model, Sense, SolveOptions, SolveStatus, SolverPool, VarKind,
+    WarmStart,
 };
 
 /// Worker-thread counts the parallel determinism tests exercise.
@@ -258,12 +259,16 @@ fn golden_suite_objective_is_invariant_under_pool_sharing() {
             std::thread::scope(|scope| {
                 let decoy = scope.spawn(|| {
                     decoy_model
-                        .solve_in_pool(&SolveOptions::default().with_threads(2), &pool)
+                        .solve_warm(
+                            &SolveOptions::default().with_threads(2),
+                            &mut WarmStart::new(),
+                            Some(&pool),
+                        )
                         .expect("decoy tree solves")
                         .objective
                 });
                 let pooled = model
-                    .solve_in_pool(&opts, &pool)
+                    .solve_warm(&opts, &mut WarmStart::new(), Some(&pool))
                     .unwrap_or_else(|e| panic!("{name}: pooled solve failed ({opts:?}): {e}"));
                 assert_eq!(pooled.status, SolveStatus::Optimal, "{name} ({opts:?})");
                 assert!(

@@ -7,7 +7,7 @@
 
 use rfic_lp::fault::{Fault, FaultPlan};
 use rfic_lp::LpError;
-use rfic_milp::{instances, MilpError, SolveOptions, SolverPool};
+use rfic_milp::{instances, MilpError, SolveOptions, SolverPool, WarmStart};
 
 /// A panic inside a pool worker is contained: the solve it was serving
 /// fails with [`MilpError::Internal`], the worker thread survives, and
@@ -16,7 +16,12 @@ use rfic_milp::{instances, MilpError, SolveOptions, SolverPool};
 fn pool_survives_a_worker_panic() {
     let model = instances::bench_knapsack(24);
     let options = SolveOptions::default();
-    let clean = model.solve(&options).expect("uninjected solve");
+    // Every uninjected solve of this file holds the fault scope (an empty
+    // plan), or a concurrent test's armed fault could fire inside it.
+    let clean = {
+        let _quiet = FaultPlan::new().install();
+        model.solve(&options).expect("uninjected solve")
+    };
 
     let pool = SolverPool::new(2);
     {
@@ -24,7 +29,7 @@ fn pool_survives_a_worker_panic() {
             .fail("milp.pool.worker", Fault::Panic)
             .install();
         let err = model
-            .solve_in_pool(&options, &pool)
+            .solve_warm(&options, &mut WarmStart::new(), Some(&pool))
             .expect_err("the injected panic must fail the solve");
         assert!(
             matches!(err, MilpError::Internal { .. }),
@@ -38,9 +43,12 @@ fn pool_survives_a_worker_panic() {
 
     // Guard dropped: the plan is disarmed and the same pool keeps
     // solving, bit-identical to the uninjected run.
-    let after = model
-        .solve_in_pool(&options, &pool)
-        .expect("pool must survive a contained worker panic");
+    let after = {
+        let _quiet = FaultPlan::new().install();
+        model
+            .solve_warm(&options, &mut WarmStart::new(), Some(&pool))
+            .expect("pool must survive a contained worker panic")
+    };
     assert_eq!(after.status, clean.status);
     assert_eq!(after.objective, clean.objective);
     assert_eq!(after.values, clean.values);

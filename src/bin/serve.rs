@@ -269,11 +269,11 @@ fn requested_netlist(op: &str, request: &Json) -> Result<Netlist, Json> {
 }
 
 fn build_config(request: &Json) -> Result<PilpConfig, String> {
-    let mut builder = match request.get("config") {
-        None => PilpConfig::builder().fast(),
+    let mut config = match request.get("config") {
+        None => PilpConfig::fast(),
         Some(value) => match value.as_str() {
-            Some("fast") => PilpConfig::builder().fast(),
-            Some("thorough") => PilpConfig::builder().thorough(),
+            Some("fast") => PilpConfig::fast(),
+            Some("thorough") => PilpConfig::thorough(),
             Some(other) => return Err(format!("unknown config {other:?} (fast/thorough)")),
             None => return Err("config must be a string".into()),
         },
@@ -287,7 +287,7 @@ fn build_config(request: &Json) -> Result<PilpConfig, String> {
                 "deadline_ms must be in (0, {MAX_DEADLINE_MS}] milliseconds"
             ));
         }
-        builder = builder.deadline(Duration::from_millis(ms as u64));
+        config.deadline = Some(Duration::from_millis(ms as u64));
     }
     if let Some(value) = request.get("threads") {
         let Some(threads) = value.as_f64() else {
@@ -297,9 +297,26 @@ fn build_config(request: &Json) -> Result<PilpConfig, String> {
         {
             return Err(format!("threads must be an integer in 0..={MAX_THREADS}"));
         }
-        builder = builder.threads(threads as usize);
+        config.solver_threads = threads as usize;
     }
-    Ok(builder.build())
+    Ok(config)
+}
+
+/// Parses an `area` value: `[width, height]` with each dimension in
+/// (0, [`MAX_AREA_UM`]] µm (which also rules out NaN and infinities).
+/// `None` for anything else; each caller words its own rejection.
+fn parse_area(value: &Json) -> Option<(f64, f64)> {
+    let area = value.as_array()?;
+    match (
+        area.len(),
+        area.first().and_then(Json::as_f64),
+        area.get(1).and_then(Json::as_f64),
+    ) {
+        (2, Some(w), Some(h)) if [w, h].iter().all(|&d| d > 0.0 && d <= MAX_AREA_UM) => {
+            Some((w, h))
+        }
+        _ => None,
+    }
 }
 
 fn handle_submit(request: &Json, ctx: &JobContext, next_id: &mut u64) -> (Json, Option<ServedJob>) {
@@ -308,38 +325,17 @@ fn handle_submit(request: &Json, ctx: &JobContext, next_id: &mut u64) -> (Json, 
         Err(rejection) => return (rejection, None),
     };
     if let Some(value) = request.get("area") {
-        let dims = value.as_array().and_then(|area| {
-            match (
-                area.len(),
-                area.first().and_then(Json::as_f64),
-                area.get(1).and_then(Json::as_f64),
-            ) {
-                (2, Some(w), Some(h)) => Some((w, h)),
-                _ => None,
-            }
-        });
-        match dims {
-            Some((w, h))
-                if w.is_finite()
-                    && h.is_finite()
-                    && w > 0.0
-                    && h > 0.0
-                    && w <= MAX_AREA_UM
-                    && h <= MAX_AREA_UM =>
-            {
-                netlist = netlist.with_area(w, h)
-            }
-            _ => {
-                return (
-                    error_response(
-                        "submit",
-                        "bad_request",
-                        &format!("area must be [width, height], each in (0, {MAX_AREA_UM}] µm"),
-                    ),
-                    None,
-                )
-            }
-        }
+        let Some((w, h)) = parse_area(value) else {
+            return (
+                error_response(
+                    "submit",
+                    "bad_request",
+                    &format!("area must be [width, height], each in (0, {MAX_AREA_UM}] µm"),
+                ),
+                None,
+            );
+        };
+        netlist = netlist.with_area(w, h);
     }
     let config = match build_config(request) {
         Ok(config) => config,
@@ -490,25 +486,7 @@ fn build_variants(base: &Netlist, value: Option<&Json>) -> Result<Vec<Netlist>, 
             }
         }
         if let Some(value) = item.get("area") {
-            let dims = value.as_array().and_then(|area| {
-                match (
-                    area.len(),
-                    area.first().and_then(Json::as_f64),
-                    area.get(1).and_then(Json::as_f64),
-                ) {
-                    (2, Some(w), Some(h)) => Some((w, h)),
-                    _ => None,
-                }
-            });
-            let valid = dims.filter(|&(w, h)| {
-                w.is_finite()
-                    && h.is_finite()
-                    && w > 0.0
-                    && h > 0.0
-                    && w <= MAX_AREA_UM
-                    && h <= MAX_AREA_UM
-            });
-            let Some((w, h)) = valid else {
+            let Some((w, h)) = parse_area(value) else {
                 return Err(format!(
                     "variant {index}: area must be [width, height], each in (0, {MAX_AREA_UM}] µm"
                 ));
@@ -912,4 +890,23 @@ fn main() {
         let _ = job.handle.wait();
     }
     ctx.shutdown();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn build_config_maps_a_preset_with_overrides() {
+        let request =
+            parse(r#"{"config":"thorough","deadline_ms":1500,"threads":2}"#).expect("valid JSON");
+        assert_eq!(
+            build_config(&request),
+            Ok(PilpConfig {
+                deadline: Some(Duration::from_millis(1500)),
+                solver_threads: 2,
+                ..PilpConfig::thorough()
+            })
+        );
+    }
 }

@@ -45,10 +45,10 @@
 //! use std::time::Duration;
 //!
 //! let circuit = benchmarks::tiny_circuit();
-//! let config = PilpConfig::builder()
-//!     .fast()
-//!     .deadline(Duration::from_secs(120))
-//!     .build();
+//! let config = PilpConfig {
+//!     deadline: Some(Duration::from_secs(120)),
+//!     ..PilpConfig::fast()
+//! };
 //! let ctx = JobContext::new(0); // 0 = hardware parallelism
 //! let job = Pilp::new(config).submit_in(&circuit.netlist, &ctx);
 //! println!("{} solves so far", job.progress().solves);
@@ -71,6 +71,5 @@ pub use rfic_netlist as netlist;
 // The layout-job API at the crate root, so servers built on the facade
 // can name the service types without digging through sub-crates.
 pub use rfic_core::{
-    FlowCache, JobContext, JobHandle, JobProgress, Pilp, PilpConfig, PilpConfigBuilder, PilpError,
-    PilpResult,
+    FlowCache, JobContext, JobHandle, JobProgress, Pilp, PilpConfig, PilpError, PilpResult,
 };
