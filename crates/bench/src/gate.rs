@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use rfic_netlist::json::{self, Json};
+
 /// One benchmark measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
@@ -100,71 +102,54 @@ impl GateReport {
 }
 
 /// Parses the `{"benchmarks": [{"name": …, "mean_ns": …, "iterations": …}]}`
-/// format written by the vendored criterion stub. Deliberately minimal — it
-/// accepts exactly the shape this workspace writes, nothing more.
+/// format written by the vendored criterion stub.
 pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let mut records = Vec::new();
-    let mut rest = text;
-    while let Some(start) = rest.find("\"name\"") {
-        rest = &rest[start..];
-        // Scope all lookups to this record's object so an absent optional
-        // key can never pick up the next record's value.
-        let end = rest.find('}').unwrap_or(rest.len());
-        let object = &rest[..end];
-        let name = extract_string_value(object, "name")?;
-        let mean_ns = extract_number_value(object, "mean_ns")?;
-        let min_ns = extract_number_value(object, "min_ns").unwrap_or(0.0);
-        let iterations = extract_number_value(object, "iterations")? as u64;
-        records.push(BenchRecord {
-            name,
-            mean_ns,
-            min_ns,
-            iterations,
-        });
-        rest = &rest[end..];
-    }
+    let doc = json::parse(text)?;
+    let records = record_objects(&doc, "benchmarks")?
+        .iter()
+        .map(|object| {
+            Ok(BenchRecord {
+                name: string_field(object, "name")?,
+                mean_ns: number_field(object, "mean_ns")?,
+                // Absent in files predating the field: the gate then falls
+                // back to the mean.
+                min_ns: optional_number(object, "min_ns"),
+                iterations: number_field(object, "iterations")? as u64,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if records.is_empty() {
         return Err("no benchmark records found".into());
     }
     Ok(records)
 }
 
-fn extract_string_value(object: &str, key: &str) -> Result<String, String> {
-    let pattern = format!("\"{key}\"");
-    let at = object
-        .find(&pattern)
-        .ok_or_else(|| format!("missing key {key}"))?;
-    let after_colon = object[at + pattern.len()..]
-        .find(':')
-        .map(|c| at + pattern.len() + c + 1)
-        .ok_or_else(|| format!("malformed key {key}"))?;
-    let open = object[after_colon..]
-        .find('"')
-        .map(|q| after_colon + q + 1)
-        .ok_or_else(|| format!("missing opening quote for {key}"))?;
-    let close = object[open..]
-        .find('"')
-        .map(|q| open + q)
-        .ok_or_else(|| format!("missing closing quote for {key}"))?;
-    Ok(object[open..close].to_string())
+/// The members of the top-level array `key` of a measurement file.
+fn record_objects<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    doc.get(key)
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("missing array {key}"))
 }
 
-fn extract_number_value(object: &str, key: &str) -> Result<f64, String> {
-    let pattern = format!("\"{key}\"");
-    let at = object
-        .find(&pattern)
-        .ok_or_else(|| format!("missing key {key}"))?;
-    let after_colon = object[at + pattern.len()..]
-        .find(':')
-        .map(|c| at + pattern.len() + c + 1)
-        .ok_or_else(|| format!("malformed key {key}"))?;
-    let tail = object[after_colon..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("bad number for {key}: {e}"))
+fn string_field(object: &Json, key: &str) -> Result<String, String> {
+    object
+        .get(key)
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("missing string {key}"))
+}
+
+fn number_field(object: &Json, key: &str) -> Result<f64, String> {
+    object
+        .get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("missing number {key}"))
+}
+
+/// A number added to the format after the first committed baselines:
+/// absent keys read as zero so older files still load.
+fn optional_number(object: &Json, key: &str) -> f64 {
+    object.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
 /// `true` for benchmarks that only measure something meaningful with more
@@ -419,49 +404,37 @@ pub fn flow_json(records: &[FlowRecord]) -> String {
 
 /// Parses the `BENCH_flow.json` format written by [`flow_json`].
 pub fn parse_flow_json(text: &str) -> Result<Vec<FlowRecord>, String> {
-    let mut records = Vec::new();
-    let mut rest = text;
-    while let Some(start) = rest.find("\"name\"") {
-        rest = &rest[start..];
-        let end = rest.find('}').unwrap_or(rest.len());
-        let object = &rest[..end];
-        records.push(FlowRecord {
-            name: extract_string_value(object, "name")?,
-            wall_ms: extract_number_value(object, "wall_ms")?,
-            strips: extract_number_value(object, "strips")? as u64,
-            exact_lengths: extract_number_value(object, "exact_lengths")? as u64,
-            total_bends: extract_number_value(object, "total_bends")? as u64,
-            max_length_error_um: extract_number_value(object, "max_length_error_um")?,
-            drc_violations: extract_number_value(object, "drc_violations")? as u64,
-            bnb_nodes: extract_number_value(object, "bnb_nodes")? as u64,
-            solves: extract_number_value(object, "solves")? as u64,
-            simplex_iterations: extract_number_value(object, "simplex_iterations")? as u64,
-            // Presolve counters arrived after the first committed
-            // baselines; absent keys parse as zero so legacy files load.
-            presolve_rows_removed: extract_number_value(object, "presolve_rows_removed")
-                .unwrap_or(0.0) as u64,
-            presolve_cols_removed: extract_number_value(object, "presolve_cols_removed")
-                .unwrap_or(0.0) as u64,
-            presolve_nonzeros_removed: extract_number_value(object, "presolve_nonzeros_removed")
-                .unwrap_or(0.0) as u64,
-            // Fallback-ladder counters arrived with the fault-tolerance
-            // layer; absent keys parse as zero so legacy files load.
-            fallback_attempts: extract_number_value(object, "fallback_attempts").unwrap_or(0.0)
-                as u64,
-            fallback_recoveries: extract_number_value(object, "fallback_recoveries").unwrap_or(0.0)
-                as u64,
-            // Throughput records arrived with the job API; absent keys
-            // parse as zero so older baselines load.
-            requests_per_sec: extract_number_value(object, "requests_per_sec").unwrap_or(0.0),
-            // Sweep records arrived with the parameter-sweep fast path;
-            // absent keys parse as zero so older baselines load.
-            sweep_variants: extract_number_value(object, "sweep_variants").unwrap_or(0.0) as u64,
-            cold_wall_ms: extract_number_value(object, "cold_wall_ms").unwrap_or(0.0),
-            cold_simplex_iterations: extract_number_value(object, "cold_simplex_iterations")
-                .unwrap_or(0.0) as u64,
-        });
-        rest = &rest[end..];
-    }
+    let doc = json::parse(text)?;
+    let records = record_objects(&doc, "flows")?
+        .iter()
+        .map(|object| {
+            let count = |key| number_field(object, key).map(|v| v as u64);
+            let optional_count = |key| optional_number(object, key) as u64;
+            Ok(FlowRecord {
+                name: string_field(object, "name")?,
+                wall_ms: number_field(object, "wall_ms")?,
+                strips: count("strips")?,
+                exact_lengths: count("exact_lengths")?,
+                total_bends: count("total_bends")?,
+                max_length_error_um: number_field(object, "max_length_error_um")?,
+                drc_violations: count("drc_violations")?,
+                bnb_nodes: count("bnb_nodes")?,
+                solves: count("solves")?,
+                simplex_iterations: count("simplex_iterations")?,
+                // Presolve, fallback-ladder, throughput and sweep fields
+                // arrived after the first committed baselines.
+                presolve_rows_removed: optional_count("presolve_rows_removed"),
+                presolve_cols_removed: optional_count("presolve_cols_removed"),
+                presolve_nonzeros_removed: optional_count("presolve_nonzeros_removed"),
+                fallback_attempts: optional_count("fallback_attempts"),
+                fallback_recoveries: optional_count("fallback_recoveries"),
+                requests_per_sec: optional_number(object, "requests_per_sec"),
+                sweep_variants: optional_count("sweep_variants"),
+                cold_wall_ms: optional_number(object, "cold_wall_ms"),
+                cold_simplex_iterations: optional_count("cold_simplex_iterations"),
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if records.is_empty() {
         return Err("no flow records found".into());
     }

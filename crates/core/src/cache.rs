@@ -41,22 +41,50 @@ use crate::layout::Layout;
 /// default comfortably holds several distinct circuits at once.
 pub const DEFAULT_CACHE_CAPACITY: usize = 512;
 
-struct CacheState {
-    entries: HashMap<u64, Layout>,
+/// Default number of retained model builds per [`ModelCache`]. A sweep
+/// re-visits the same few dozen solve sites per variant, so the default
+/// comfortably covers several circuits' worth of distinct structures.
+pub const DEFAULT_MODEL_CACHE_CAPACITY: usize = 256;
+
+struct CacheState<V> {
+    entries: HashMap<u64, V>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<u64>,
 }
 
-/// A bounded, thread-safe map from solve-site fingerprints to the
-/// layouts those sites produced.
+/// A bounded, thread-safe map from `u64` keys to cloneable values with
+/// FIFO eviction of the oldest entry and hit/miss counters.
 ///
-/// See the module docs for the keying and reuse contract.
-pub struct FlowCache {
+/// The flow uses it twice, as [`FlowCache`] and [`ModelCache`]; see their
+/// docs for what each keys and stores.
+pub struct BoundedCache<V> {
     capacity: usize,
-    state: Mutex<CacheState>,
+    state: Mutex<CacheState<V>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
+
+/// A bounded map from solve-site fingerprints to the layouts those sites
+/// produced.
+///
+/// See the module docs for the keying and reuse contract.
+pub type FlowCache = BoundedCache<Layout>;
+
+/// A bounded map from **structure fingerprints** (see
+/// [`rfic_milp::Model::structure_fingerprint`]) to retained model builds.
+///
+/// Where [`FlowCache`] replays *exact* request repeats as pure lookups,
+/// this cache catches the parameter-sweep shape: requests whose models
+/// share their constraint pattern and integrality mask but differ in
+/// bound/RHS/cost values. A hit is re-solved by value-patching the
+/// retained [`LinearProgram`] in place
+/// ([`rfic_milp::Model::patch_relaxation`]) and re-entering from the
+/// retained basis with presolve bypassed — the warm path that keeps the
+/// factorisation and DSE weights alive, where cross-request basis
+/// *seeding* through the presolve projection measurably did not (see the
+/// module docs above). Entries are shared by `Arc`, so a [`ModelView`]
+/// snapshot copies no model.
+pub type ModelCache = BoundedCache<Arc<ModelEntry>>;
 
 impl Default for FlowCache {
     fn default() -> Self {
@@ -64,11 +92,16 @@ impl Default for FlowCache {
     }
 }
 
-impl FlowCache {
-    /// Creates a cache holding at most `capacity` solve sites (at least
-    /// one).
-    pub fn with_capacity(capacity: usize) -> FlowCache {
-        FlowCache {
+impl Default for ModelCache {
+    fn default() -> Self {
+        ModelCache::with_capacity(DEFAULT_MODEL_CACHE_CAPACITY)
+    }
+}
+
+impl<V: Clone> BoundedCache<V> {
+    /// Creates a cache holding at most `capacity` entries (at least one).
+    pub fn with_capacity(capacity: usize) -> BoundedCache<V> {
+        BoundedCache {
             capacity: capacity.max(1),
             state: Mutex::new(CacheState {
                 entries: HashMap::new(),
@@ -79,12 +112,12 @@ impl FlowCache {
         }
     }
 
-    /// Maximum number of cached solve sites.
+    /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of solve sites currently cached.
+    /// Number of entries currently cached.
     pub fn len(&self) -> usize {
         self.state.lock_recover().entries.len()
     }
@@ -104,27 +137,18 @@ impl FlowCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Looks up the memoized layout for a solve-site key, counting the
-    /// hit/miss.
-    pub fn lookup(&self, key: u64) -> Option<Layout> {
-        let state = self.state.lock_recover();
-        match state.entries.get(&key) {
-            Some(layout) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(layout.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// Looks up the value for a key, counting the hit/miss.
+    pub fn lookup(&self, key: u64) -> Option<V> {
+        let value = self.state.lock_recover().entries.get(&key).cloned();
+        self.count(value.is_some());
+        value
     }
 
-    /// Stores (or refreshes) the layout for a solve-site key, evicting
-    /// the oldest entry when full.
-    pub fn store(&self, key: u64, layout: Layout) {
+    /// Stores (or refreshes) the value for a key, evicting the oldest
+    /// entry when full.
+    pub fn store(&self, key: u64, value: V) {
         let mut state = self.state.lock_recover();
-        if state.entries.insert(key, layout).is_none() {
+        if state.entries.insert(key, value).is_none() {
             state.order.push_back(key);
             while state.entries.len() > self.capacity {
                 if let Some(old) = state.order.pop_front() {
@@ -135,12 +159,28 @@ impl FlowCache {
             }
         }
     }
-}
 
-/// Default number of retained model builds per [`ModelCache`]. A sweep
-/// re-visits the same few dozen solve sites per variant, so the default
-/// comfortably covers several circuits' worth of distinct structures.
-pub const DEFAULT_MODEL_CACHE_CAPACITY: usize = 256;
+    /// Drops the entry for a key — the recovery path when a patched
+    /// re-solve of a retained model fails and the site falls back to a
+    /// fresh build.
+    pub fn invalidate(&self, key: u64) {
+        let mut state = self.state.lock_recover();
+        if state.entries.remove(&key).is_some() {
+            state.order.retain(|&k| k != key);
+        }
+    }
+
+    /// A point-in-time copy of every entry. [`ModelView`] anchors a
+    /// flow's visibility to one of these.
+    fn snapshot(&self) -> HashMap<u64, V> {
+        self.state.lock_recover().entries.clone()
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 /// One retained model build: the relaxation [`LinearProgram`] exactly as
 /// the last solve of this structure left it, plus the full-space root
@@ -158,134 +198,6 @@ pub struct ModelEntry {
     /// re-solve carry the **live** basis with factorisation and dual
     /// steepest-edge weights.
     pub basis: Option<Basis>,
-}
-
-struct ModelCacheState {
-    entries: HashMap<u64, Arc<ModelEntry>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u64>,
-}
-
-/// A bounded, thread-safe map from **structure fingerprints** (see
-/// [`rfic_milp::Model::structure_fingerprint`]) to retained model builds.
-///
-/// Where [`FlowCache`] replays *exact* request repeats as pure lookups,
-/// this cache catches the parameter-sweep shape: requests whose models
-/// share their constraint pattern and integrality mask but differ in
-/// bound/RHS/cost values. A hit is re-solved by value-patching the
-/// retained [`LinearProgram`] in place
-/// ([`rfic_milp::Model::patch_relaxation`]) and re-entering from the
-/// retained basis with presolve bypassed — the warm path that keeps the
-/// factorisation and DSE weights alive, where cross-request basis
-/// *seeding* through the presolve projection measurably did not (see the
-/// module docs above).
-pub struct ModelCache {
-    capacity: usize,
-    state: Mutex<ModelCacheState>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl Default for ModelCache {
-    fn default() -> Self {
-        ModelCache::with_capacity(DEFAULT_MODEL_CACHE_CAPACITY)
-    }
-}
-
-impl ModelCache {
-    /// Creates a cache holding at most `capacity` model builds (at least
-    /// one).
-    pub fn with_capacity(capacity: usize) -> ModelCache {
-        ModelCache {
-            capacity: capacity.max(1),
-            state: Mutex::new(ModelCacheState {
-                entries: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// Maximum number of retained model builds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of model builds currently retained.
-    pub fn len(&self) -> usize {
-        self.state.lock_recover().entries.len()
-    }
-
-    /// `true` if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Successful lookups since the cache was created.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Failed lookups since the cache was created.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Looks up the retained build for a structure fingerprint, counting
-    /// the hit/miss. The returned clone shares the matrix cache and
-    /// factorisation behind `Arc`s, so cloning is cheap relative to a
-    /// model rebuild.
-    pub fn lookup(&self, key: u64) -> Option<ModelEntry> {
-        let state = self.state.lock_recover();
-        match state.entries.get(&key) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(ModelEntry::clone(entry))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores (or refreshes) the retained build for a structure
-    /// fingerprint, evicting the oldest entry when full.
-    pub fn store(&self, key: u64, entry: ModelEntry) {
-        self.store_shared(key, Arc::new(entry));
-    }
-
-    fn store_shared(&self, key: u64, entry: Arc<ModelEntry>) {
-        let mut state = self.state.lock_recover();
-        if state.entries.insert(key, entry).is_none() {
-            state.order.push_back(key);
-            while state.entries.len() > self.capacity {
-                if let Some(old) = state.order.pop_front() {
-                    state.entries.remove(&old);
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// A point-in-time snapshot of every retained build, shared by
-    /// reference. [`ModelView`] anchors a flow's visibility to one of
-    /// these.
-    fn snapshot(&self) -> HashMap<u64, Arc<ModelEntry>> {
-        self.state.lock_recover().entries.clone()
-    }
-
-    /// Drops the retained build for a structure fingerprint — the
-    /// recovery path when a patched re-solve fails and the site falls
-    /// back to a fresh build.
-    pub fn invalidate(&self, key: u64) {
-        let mut state = self.state.lock_recover();
-        if state.entries.remove(&key).is_some() {
-            state.order.retain(|&k| k != key);
-        }
-    }
 }
 
 /// A flow's **deterministic view** of a shared [`ModelCache`]: the set of
@@ -331,22 +243,12 @@ impl ModelView {
     /// Looks up a structure fingerprint in the overlay, then the
     /// snapshot. Hit/miss counts land on the shared cache's counters.
     pub fn lookup(&self, key: u64) -> Option<ModelEntry> {
-        let overlay = self.overlay.lock_recover();
-        let entry = match overlay.get(&key) {
-            Some(Some(entry)) => Some(entry),
-            Some(None) => None,
-            None => self.snapshot.get(&key),
+        let entry = match self.overlay.lock_recover().get(&key) {
+            Some(stored) => stored.clone(),
+            None => self.snapshot.get(&key).cloned(),
         };
-        match entry {
-            Some(entry) => {
-                self.shared.hits.fetch_add(1, Ordering::Relaxed);
-                Some(ModelEntry::clone(entry))
-            }
-            None => {
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.shared.count(entry.is_some());
+        entry.map(|entry| ModelEntry::clone(&entry))
     }
 
     /// Stores a retained build: visible to this flow immediately and to
@@ -356,7 +258,7 @@ impl ModelView {
         self.overlay
             .lock_recover()
             .insert(key, Some(Arc::clone(&entry)));
-        self.shared.store_shared(key, entry);
+        self.shared.store(key, entry);
     }
 
     /// Drops a retained build from this flow's view and from the shared
@@ -405,11 +307,21 @@ mod tests {
         assert!(cache.lookup(1).is_some());
     }
 
-    fn tiny_entry() -> ModelEntry {
-        ModelEntry {
+    #[test]
+    fn defaults_keep_their_capacities() {
+        assert_eq!(FlowCache::default().capacity(), DEFAULT_CACHE_CAPACITY);
+        assert_eq!(
+            ModelCache::default().capacity(),
+            DEFAULT_MODEL_CACHE_CAPACITY
+        );
+        assert_eq!(FlowCache::with_capacity(0).capacity(), 1);
+    }
+
+    fn tiny_entry() -> Arc<ModelEntry> {
+        Arc::new(ModelEntry {
             lp: LinearProgram::new(1, rfic_lp::Sense::Minimize),
             basis: None,
-        }
+        })
     }
 
     #[test]

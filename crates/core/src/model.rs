@@ -86,6 +86,10 @@ pub struct PairSpec {
 }
 
 /// Configuration of one ILP build.
+///
+/// Every device keeps the rotation of its `base` placement (`R0` when it
+/// has none); the flow tries rotations by re-building against a rotated
+/// base layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IlpConfig {
     /// Strips whose routes are decision variables. Strips not listed are
@@ -106,9 +110,6 @@ pub struct IlpConfig {
     /// Number of chain points per free strip (defaults to the netlist's
     /// suggested count when absent).
     pub chain_points: BTreeMap<MicrostripId, usize>,
-    /// Fixed rotation per device (defaults to the base layout's rotation,
-    /// or `R0`).
-    pub rotations: BTreeMap<DeviceId, Rotation>,
     /// Confinement window (`τ_d`) for free device centres.
     pub device_windows: BTreeMap<DeviceId, Rect>,
     /// Confinement windows for free-strip chain points (one per strip; all
@@ -132,7 +133,6 @@ impl IlpConfig {
             hard_length: true,
             overlap_slack: false,
             chain_points: BTreeMap::new(),
-            rotations: BTreeMap::new(),
             device_windows: BTreeMap::new(),
             strip_windows: BTreeMap::new(),
             overlap_pairs: Vec::new(),
@@ -150,7 +150,6 @@ impl IlpConfig {
             hard_length: true,
             overlap_slack: false,
             chain_points: BTreeMap::new(),
-            rotations: BTreeMap::new(),
             device_windows: BTreeMap::new(),
             strip_windows: BTreeMap::new(),
             overlap_pairs: Vec::new(),
@@ -420,12 +419,9 @@ impl<'a> LayoutIlp<'a> {
     // --- variables ---------------------------------------------------------
 
     fn rotation_of(&self, device: DeviceId) -> Rotation {
-        self.config
-            .rotations
-            .get(&device)
-            .copied()
-            .or_else(|| self.base.placement(device).map(|p| p.rotation))
-            .unwrap_or(Rotation::R0)
+        self.base
+            .placement(device)
+            .map_or(Rotation::R0, |p| p.rotation)
     }
 
     fn add_device_variables(&mut self) -> Result<(), IlpError> {

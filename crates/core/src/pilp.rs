@@ -88,13 +88,11 @@ pub struct PilpConfig {
     pub deadline: Option<Duration>,
     /// Optional per-phase overrides of the per-solve time limit.
     pub phase_budgets: PhaseBudgets,
-    /// Branch-and-bound worker threads per MILP solve. `1` = serial;
-    /// explicit values pass through untouched; `0` resolves to the
-    /// machine's `available_parallelism()` (capped at 8, matching
-    /// [`rfic_milp::SolveOptions::threads`]) when the flow builds its
-    /// [`rfic_milp::SolveOptions`] (see `Pilp::solve_options`), so a
-    /// deployment can opt into "use whatever the hardware has" without
-    /// hard-coding a count.
+    /// Branch-and-bound worker threads per MILP solve, handed unchanged
+    /// to [`rfic_milp::SolveOptions::threads`]: `1` = serial, `0` = the
+    /// machine's available parallelism (capped at 8, see
+    /// [`rfic_milp::resolve_threads`]), so a deployment can opt into "use
+    /// whatever the hardware has" without hard-coding a count.
     pub solver_threads: usize,
     /// Maximum extra chain points inserted on a strip during refinement.
     pub max_extra_chain_points: usize,
@@ -103,11 +101,6 @@ pub struct PilpConfig {
     pub try_rotations: bool,
     /// Objective weights handed to the ILP models.
     pub weights: IlpWeights,
-    /// Presolve the root relaxation of every MILP solve (reduction of
-    /// fixed/implied structure plus geometric-mean scaling of the
-    /// µm-vs-big-M coefficient spread). On by default; the golden and
-    /// determinism suites switch it off to cross-check equivalence.
-    pub presolve: bool,
 }
 
 impl Default for PilpConfig {
@@ -123,7 +116,6 @@ impl Default for PilpConfig {
             max_extra_chain_points: 3,
             try_rotations: true,
             weights: IlpWeights::default(),
-            presolve: true,
         }
     }
 }
@@ -537,23 +529,7 @@ impl Pilp {
                 .for_phase(phase)
                 .unwrap_or(self.config.solve_time_limit),
             mip_gap: 1e-4,
-            // `solver_threads: 0` resolves to the machine's available
-            // parallelism here, at the flow level (explicit values pass
-            // through untouched). Resolving early — instead of forwarding
-            // the 0 for `rfic_milp::SolveOptions::effective_threads` to
-            // interpret per solve — keeps the whole flow on one consistent
-            // worker count and lets it show up in diagnostics. The same
-            // cap of 8 workers applies: the node pools of the layout
-            // MILPs are too shallow to feed more, and an uncapped count
-            // on a big server would oversubscribe every solve.
-            threads: if self.config.solver_threads == 0 {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(8)
-            } else {
-                self.config.solver_threads
-            },
+            threads: self.config.solver_threads,
             // Gomory cuts never survive the root-bound improvement gate on
             // these models, and tree-wide cuts do not pay on MILPs this
             // small; separating either is pure overhead here.
@@ -566,8 +542,8 @@ impl Pilp {
             // near-tie layout models (mip_gap 1e-4) onto optimal vertices
             // with measurably more bends — the same class of flow-level
             // tuning as the branching and pricing defaults. Row/column
-            // elimination, activity bound tightening and equilibration all
-            // stay on; the bound tightening in particular shrinks the
+            // elimination, activity bound tightening and equilibration
+            // always run; the bound tightening in particular shrinks the
             // big-M boxes and is the biggest single win on the tiny-flow
             // wall clock. `scale_trigger: 0.0` scales the layout models
             // unconditionally (their ~1.4e3 spread sits below the default
@@ -575,14 +551,10 @@ impl Pilp {
             // vertex steering — the bend counts were tuned with
             // equilibrated models, and skipping the scaling pass measurably
             // worsens them.
-            presolve: if self.config.presolve {
-                rfic_milp::PresolveConfig {
-                    substitute: false,
-                    scale_trigger: 0.0,
-                    ..rfic_milp::PresolveConfig::default()
-                }
-            } else {
-                rfic_milp::PresolveConfig::off()
+            presolve: rfic_milp::PresolveConfig {
+                substitute: false,
+                scale_trigger: 0.0,
+                ..rfic_milp::PresolveConfig::default()
             },
             // Branching and pricing are the solver defaults (most-fractional,
             // dual steepest-edge); DESIGN.md has the flow-level measurements
@@ -1431,21 +1403,15 @@ fn ladder_eligible(err: &IlpError) -> bool {
 
 /// The deterministic escalation ladder for numerically-failed solves,
 /// derived from the failing solve's own options: cold start, then
-/// Dantzig pricing (the simplest, most robust rule), then unconditional
-/// equilibration, then no presolve at all (the raw relaxation). Each
-/// rung keeps the earlier rungs' simplifications.
+/// Dantzig pricing (the simplest, most robust rule), then no presolve at
+/// all (the raw relaxation). Each rung keeps the earlier rungs'
+/// simplifications. The flow already equilibrates unconditionally, so
+/// there is no separate scaling rung.
 fn fallback_ladder(base: &SolveOptions) -> Vec<SolveOptions> {
     let cold = base.clone().cold();
     let dantzig = cold.clone().with_pricing(rfic_milp::PricingRule::Dantzig);
-    let mut scaled = dantzig.clone();
-    scaled.presolve = rfic_milp::PresolveConfig {
-        enabled: true,
-        scale: true,
-        scale_trigger: 0.0,
-        ..base.presolve
-    };
     let bare = dantzig.clone().without_presolve();
-    vec![cold, dantzig, scaled, bare]
+    vec![cold, dantzig, bare]
 }
 
 /// Maps solve errors that must abort the whole flow (rather than be
@@ -1691,12 +1657,14 @@ mod tests {
             solver_threads: 0,
             ..PilpConfig::fast()
         });
-        let resolved = auto.solve_options(PilpPhase::GlobalRouting).threads;
+        let requested = auto.solve_options(PilpPhase::GlobalRouting).threads;
+        assert_eq!(requested, 0, "the flow passes 0 through to the solver");
+        let resolved = rfic_milp::resolve_threads(requested);
         let expected = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8);
-        assert_eq!(resolved, expected, "0 must resolve at the flow level");
+        assert_eq!(resolved, expected, "0 resolves to the hardware threads");
         assert!(resolved >= 1, "never hand the solver a zero worker count");
         assert!(resolved <= 8, "the layout MILP worker cap must survive");
 
@@ -1706,6 +1674,27 @@ mod tests {
             ..PilpConfig::fast()
         });
         assert_eq!(pinned.solve_options(PilpPhase::Refinement).threads, 3);
+    }
+
+    #[test]
+    fn fallback_ladder_rungs_are_pairwise_distinct() {
+        for config in [PilpConfig::fast(), PilpConfig::thorough()] {
+            let pilp = Pilp::new(config);
+            for phase in [
+                PilpPhase::GlobalRouting,
+                PilpPhase::Visualization,
+                PilpPhase::Refinement,
+            ] {
+                let base = pilp.solve_options(phase);
+                let ladder = fallback_ladder(&base);
+                for (i, rung) in ladder.iter().enumerate() {
+                    assert_ne!(*rung, base, "{phase}: rung {i} repeats the failed solve");
+                    for (j, later) in ladder.iter().enumerate().skip(i + 1) {
+                        assert_ne!(rung, later, "{phase}: rungs {i} and {j} are equal");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! infeasibility — the standard presolve ambiguity, documented in
 //! `DESIGN.md`.
 
-use crate::problem::{Constraint, LinearProgram, LpError, LpSolution};
+use crate::problem::{LinearProgram, LpError, LpSolution};
 use crate::revised::{Basis, VarStatus};
 use crate::{ConstraintOp, Sense};
 
@@ -41,50 +41,38 @@ const FEAS_TOL: f64 = 1e-7;
 /// never tightened onto a variable.
 const HUGE_BOUND: f64 = 1e15;
 
+/// Upper bound on the reduction fixpoint passes of one presolve run, so
+/// reductions that keep enabling each other cannot loop for long.
+const MAX_PASSES: usize = 5;
+
 /// Configuration for the presolve layer.
 ///
-/// The default enables every reduction plus scaling with a bounded number
-/// of fixpoint passes; [`PresolveConfig::off`] disables the layer entirely
-/// (the golden/determinism suites cross-check both settings).
+/// Row and column elimination, activity bound tightening and
+/// equilibration always run when the layer is enabled, for at most five
+/// fixpoint passes; only substitution and the scaling trigger are
+/// settable. [`PresolveConfig::off`] disables the layer entirely.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PresolveConfig {
     /// Master switch: when `false` presolve is the identity transform.
     pub enabled: bool,
-    /// Remove empty, singleton, redundant and forcing rows.
-    pub eliminate_rows: bool,
-    /// Remove fixed and empty columns.
-    pub eliminate_cols: bool,
     /// Substitute doubleton equalities and free column singletons.
     pub substitute: bool,
-    /// Tighten variable bounds from row activity.
-    pub tighten_bounds: bool,
-    /// Apply geometric-mean equilibration (power-of-two factors).
-    pub scale: bool,
     /// Coefficient-spread threshold (`max |a| / min |a|` over the reduced
-    /// rows) below which scaling is skipped even when [`scale`] is on.
-    /// Equilibration cannot improve an already well-scaled matrix (the
-    /// power-of-two factors round to 1) but still perturbs the DSE
-    /// pricing framework enough to change the pivot trajectory, so by
-    /// default it only engages past a spread of `1e4` — where it starts
-    /// buying real stability. Set to `0.0` to scale unconditionally.
-    ///
-    /// [`scale`]: PresolveConfig::scale
+    /// rows) below which equilibration is skipped. Equilibration cannot
+    /// improve an already well-scaled matrix (the power-of-two factors
+    /// round to 1) but still perturbs the DSE pricing framework enough
+    /// to change the pivot trajectory, so by default it only engages past
+    /// a spread of `1e4` — where it starts buying real stability. Set to
+    /// `0.0` to scale unconditionally.
     pub scale_trigger: f64,
-    /// Maximum number of reduction fixpoint passes.
-    pub max_passes: usize,
 }
 
 impl Default for PresolveConfig {
     fn default() -> Self {
         PresolveConfig {
             enabled: true,
-            eliminate_rows: true,
-            eliminate_cols: true,
             substitute: true,
-            tighten_bounds: true,
-            scale: true,
             scale_trigger: 1e4,
-            max_passes: 5,
         }
     }
 }
@@ -682,7 +670,11 @@ pub(crate) fn run(
     let m = lp.num_constraints();
     if !config.enabled {
         let mut stats = PresolveStats::default();
-        let cond = raw_condition(lp.constraints());
+        let cond = spread(
+            lp.constraints()
+                .iter()
+                .flat_map(|c| c.coeffs.iter().map(|&(_, a)| a)),
+        );
         stats.condition_before = cond;
         stats.condition_after = cond;
         return Ok(Presolved {
@@ -741,17 +733,10 @@ pub(crate) fn run(
         }
     }
 
-    for _pass in 0..config.max_passes {
-        let mut changed = false;
-        if config.eliminate_rows {
-            changed |= row_reductions(&mut work)?;
-        }
-        if config.tighten_bounds {
-            changed |= tighten_bounds_pass(&mut work)?;
-        }
-        if config.eliminate_cols {
-            changed |= col_reductions(&mut work)?;
-        }
+    for _pass in 0..MAX_PASSES {
+        let mut changed = row_reductions(&mut work)?;
+        changed |= tighten_bounds_pass(&mut work)?;
+        changed |= col_reductions(&mut work)?;
         if config.substitute {
             changed |= substitution_pass(&mut work)?;
         }
@@ -1130,17 +1115,16 @@ fn substitution_pass(work: &mut Work) -> Result<bool, LpError> {
     Ok(changed)
 }
 
-/// `max |a| / min |a|` over a raw constraint list (1.0 when empty).
-fn raw_condition(constraints: &[Constraint]) -> f64 {
+/// `max |a| / min |a|` over the magnitudes above the drop tolerance (`1`
+/// when there are none).
+fn spread(coeffs: impl Iterator<Item = f64>) -> f64 {
     let mut amin = f64::INFINITY;
     let mut amax = 0.0f64;
-    for c in constraints {
-        for &(_, a) in &c.coeffs {
-            let v = a.abs();
-            if v > DROP_TOL {
-                amin = amin.min(v);
-                amax = amax.max(v);
-            }
+    for a in coeffs {
+        let v = a.abs();
+        if v > DROP_TOL {
+            amin = amin.min(v);
+            amax = amax.max(v);
         }
     }
     if amax > 0.0 && amin.is_finite() {
@@ -1184,24 +1168,11 @@ fn finish(
     let red_n = kept_cols.len();
     let red_m = kept_rows.len();
 
-    let condition_before = {
-        let mut amin = f64::INFINITY;
-        let mut amax = 0.0f64;
-        for &fi in &kept_rows {
-            for &(_, a) in &work.rows[fi].coeffs {
-                let v = a.abs();
-                if v > DROP_TOL {
-                    amin = amin.min(v);
-                    amax = amax.max(v);
-                }
-            }
-        }
-        if amax > 0.0 && amin.is_finite() {
-            amax / amin
-        } else {
-            1.0
-        }
-    };
+    let condition_before = spread(
+        kept_rows
+            .iter()
+            .flat_map(|&fi| work.rows[fi].coeffs.iter().map(|&(_, a)| a)),
+    );
 
     // Geometric-mean equilibration with power-of-two factors. Integer
     // columns keep s_j = 1 (branching stays exact) and rows touching only
@@ -1219,7 +1190,7 @@ fn finish(
     // scaling starts buying real stability.
     let mut row_scale = vec![1.0f64; m];
     let mut col_scale = vec![1.0f64; n];
-    if config.scale && red_m > 0 && red_n > 0 && condition_before > config.scale_trigger {
+    if red_m > 0 && red_n > 0 && condition_before > config.scale_trigger {
         let is_int = |j: usize| work.integer.map(|mask| mask[j]).unwrap_or(false);
         let row_scalable: Vec<bool> = kept_rows
             .iter()
@@ -1275,26 +1246,13 @@ fn finish(
         }
     }
 
-    let condition_after = if config.scale {
-        let mut amin = f64::INFINITY;
-        let mut amax = 0.0f64;
-        for &fi in &kept_rows {
-            for &(j, a) in &work.rows[fi].coeffs {
-                let v = a.abs() * row_scale[fi] * col_scale[j];
-                if v > DROP_TOL {
-                    amin = amin.min(v);
-                    amax = amax.max(v);
-                }
-            }
-        }
-        if amax > 0.0 && amin.is_finite() {
-            amax / amin
-        } else {
-            1.0
-        }
-    } else {
-        condition_before
-    };
+    let (rs, cs) = (&row_scale, &col_scale);
+    let condition_after = spread(kept_rows.iter().flat_map(|&fi| {
+        work.rows[fi]
+            .coeffs
+            .iter()
+            .map(move |&(j, a)| a * rs[fi] * cs[j])
+    }));
 
     // Build the reduced problem. With x = s · x' the transformed data is
     // c' = c·s, bounds'/s, a' = r·a·s, rhs' = r·rhs — the objective VALUE

@@ -75,3 +75,17 @@ pub use solve::{
 /// Integrality tolerance: a value within this distance of an integer is
 /// considered integral.
 pub const INT_TOLERANCE: f64 = 1e-6;
+
+/// Resolves a requested worker count: `0` means the available hardware
+/// parallelism, capped at 8 (the node pools of the layout MILPs are too
+/// shallow to feed more); any other count passes through unchanged.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    } else {
+        requested
+    }
+}

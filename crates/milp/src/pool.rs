@@ -114,17 +114,9 @@ impl Clone for SolverPool {
 
 impl SolverPool {
     /// Spawns a pool with `workers` persistent worker threads (`0` uses
-    /// the available hardware parallelism, capped at 8 like
-    /// `SolveOptions::threads`).
+    /// the available hardware parallelism, see [`crate::resolve_threads`]).
     pub fn new(workers: usize) -> SolverPool {
-        let worker_count = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            workers
-        };
+        let worker_count = crate::resolve_threads(workers);
         let inner = Arc::new(PoolInner {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),

@@ -68,6 +68,9 @@ use crate::model::Model;
 use crate::INT_TOLERANCE;
 
 /// Limits and tolerances controlling a MILP solve.
+///
+/// The rounding primal heuristic is not optional: it runs at the root and
+/// at every node until the search holds an incumbent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
     /// Wall-clock limit; the best incumbent found so far is returned when it
@@ -77,15 +80,12 @@ pub struct SolveOptions {
     pub node_limit: usize,
     /// Relative optimality gap at which the search stops.
     pub mip_gap: f64,
-    /// Apply the rounding primal heuristic at every node.
-    pub rounding_heuristic: bool,
     /// Warm-start node LPs from the parent basis (dual simplex re-entry).
     /// Disable only for benchmarking cold-start behaviour.
     pub warm_start: bool,
     /// Branch-and-bound worker threads: `1` searches on the calling thread,
     /// `n > 1` spawns `n` workers over the shared node pool, `0` uses the
-    /// available hardware parallelism (capped at 8 — the node pools of the
-    /// layout MILPs are too shallow to feed more).
+    /// available hardware parallelism (see [`crate::resolve_threads`]).
     pub threads: usize,
     /// Rounds of root-node Gomory cut separation (`0` disables cuts).
     pub cut_rounds: usize,
@@ -137,7 +137,6 @@ impl Default for SolveOptions {
             time_limit: Duration::from_secs(60),
             node_limit: 200_000,
             mip_gap: 1e-6,
-            rounding_heuristic: true,
             warm_start: true,
             threads: 1,
             cut_rounds: 2,
@@ -205,19 +204,6 @@ impl SolveOptions {
     pub fn without_presolve(mut self) -> SolveOptions {
         self.presolve = PresolveConfig::off();
         self
-    }
-
-    /// Resolved worker count (`threads == 0` → hardware parallelism,
-    /// capped).
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -1142,7 +1128,7 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
             // node basis is only a usable warm start while its row count
             // matches — a basis from a cut-augmented worker LP would be
             // silently rejected and degrade the heuristic to a cold solve.
-            if options.rounding_heuristic && shared.incumbent_bound() == f64::INFINITY {
+            if shared.incumbent_bound() == f64::INFINITY {
                 let base_compatible = node_basis
                     .as_ref()
                     .filter(|b| b.num_rows() == shared.base_lp.num_constraints());
@@ -1579,7 +1565,7 @@ pub(crate) fn branch_and_bound(
     let root_bound = sense_sign * (current_solution.objective + postsolve.objective_offset());
 
     // --- shared search state ----------------------------------------------
-    let thread_count = options.effective_threads().max(1);
+    let thread_count = crate::resolve_threads(options.threads);
     let shared = std::sync::Arc::new(Shared {
         model: model.clone(),
         options: options.clone(),
@@ -1626,23 +1612,21 @@ pub(crate) fn branch_and_bound(
             // Refactorise once for the heuristic and both children (see
             // `process_node`).
             shared.base_lp.refresh_basis(&mut current_basis);
-            if options.rounding_heuristic {
-                if let Some((vals, objective)) = rounding_heuristic(
-                    model,
-                    &shared.base_lp,
-                    &shared.base_bounds,
-                    &shared.postsolve,
-                    &[],
-                    Some(&current_basis),
-                    &current_solution.values,
-                    &shared.integer_vars,
-                    sense_sign,
-                    options,
-                    shared.remaining_time(),
-                    &shared.lp_work,
-                ) {
-                    shared.offer_incumbent(vals, objective);
-                }
+            if let Some((vals, objective)) = rounding_heuristic(
+                model,
+                &shared.base_lp,
+                &shared.base_bounds,
+                &shared.postsolve,
+                &[],
+                Some(&current_basis),
+                &current_solution.values,
+                &shared.integer_vars,
+                sense_sign,
+                options,
+                shared.remaining_time(),
+                &shared.lp_work,
+            ) {
+                shared.offer_incumbent(vals, objective);
             }
             let root_node = Node {
                 bound_changes: Vec::new(),
