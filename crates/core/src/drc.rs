@@ -246,7 +246,6 @@ pub fn check(netlist: &Netlist, layout: &Layout, options: &DrcOptions) -> DrcRep
     let mut violations = Vec::new();
     let tech = netlist.tech();
     let spacing = tech.spacing();
-    let margin = tech.expansion_margin();
     let area = netlist.area_rect();
     let (aw, ah) = netlist.area();
 
@@ -399,13 +398,17 @@ pub fn check(netlist: &Netlist, layout: &Layout, options: &DrcOptions) -> DrcRep
     }
 
     // Strip vs strip: planarity and spacing for strips that do not share a
-    // device. Strips that share a device only need to avoid crossing.
+    // device. Strips that share a device meet at it and are not checked at
+    // all — not even for crossings away from the shared pin.
     for i in 0..strips.len() {
         for j in (i + 1)..strips.len() {
             let share_device = strips[i]
                 .terminals()
                 .iter()
                 .any(|t| strips[j].touches(t.device));
+            if share_device {
+                continue;
+            }
             let mut worst_gap: Option<f64> = None;
             let mut crossing = false;
             for sa in &strip_segments[i] {
@@ -416,12 +419,6 @@ pub fn check(netlist: &Netlist, layout: &Layout, options: &DrcOptions) -> DrcRep
                     let gap = sa.body().gap(&sb.body());
                     worst_gap = Some(worst_gap.map_or(gap, |g: f64| g.min(gap)));
                 }
-            }
-            if share_device {
-                // Electrically adjacent strips meet at the shared device; only
-                // a genuine crossing is an error, and crossings right at the
-                // shared pin are tolerated.
-                continue;
             }
             if crossing {
                 violations.push(DrcViolation::StripSpacing {
@@ -443,7 +440,6 @@ pub fn check(netlist: &Netlist, layout: &Layout, options: &DrcOptions) -> DrcRep
         }
     }
 
-    let _ = margin;
     DrcReport { violations }
 }
 

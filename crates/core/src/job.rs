@@ -40,7 +40,7 @@ use rfic_milp::{CancelToken, SolverPool};
 use rfic_netlist::Netlist;
 
 use crate::cache::{FlowCache, ModelCache};
-use crate::pilp::{Pilp, PilpError, PilpPhase, PilpResult};
+use crate::pilp::{Pilp, PilpError, PilpPhase, PilpResult, SolverTotals};
 
 /// Shared solving infrastructure for layout jobs: a persistent
 /// [`SolverPool`] plus the cross-request [`FlowCache`] of memoized
@@ -100,7 +100,9 @@ impl JobContext {
 }
 
 /// Internal per-run control block threaded through the flow phases:
-/// cancellation, deadline, the shared pool/cache and progress counters.
+/// cancellation, deadline, the shared pool/cache, the current phase and
+/// the job's solver totals — the one place a job's solver work is
+/// counted.
 pub(crate) struct FlowCtl {
     cancel: CancelToken,
     deadline: Option<Instant>,
@@ -190,17 +192,49 @@ impl FlowCtl {
         self.progress.stage.store(stage, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_solve(&self) {
-        self.progress.solves.fetch_add(1, Ordering::Relaxed);
+    /// The phase the flow is in: it keys, budgets and blurs every solve
+    /// site, and it is the phase [`JobHandle::progress`] reports.
+    pub(crate) fn phase(&self) -> PilpPhase {
+        stage_phase(self.progress.stage.load(Ordering::Relaxed)).expect("solves run inside a phase")
+    }
+
+    /// Counts one MILP solve of the job.
+    pub(crate) fn record_solve(&self, solution: &rfic_milp::MilpSolution) {
+        sync::lock(&self.progress.totals).record(solution);
+    }
+
+    /// Counts one fallback-ladder rung, and the recovery if it solved.
+    pub(crate) fn record_fallback_rung(&self, recovered: bool) {
+        let mut totals = sync::lock(&self.progress.totals);
+        totals.fallback_attempts += 1;
+        totals.fallback_recoveries += usize::from(recovered);
+    }
+
+    /// The job's solver work so far.
+    pub(crate) fn totals(&self) -> SolverTotals {
+        *sync::lock(&self.progress.totals)
     }
 }
 
-/// Lock-free progress counters shared between the flow thread and the
-/// handle. `stage`: 0 = validating, 1–3 = the phases, 4 = finished.
+/// Progress shared between the flow thread and the handle: the stage
+/// (0 = validating, 1–3 = the phases, 4 = finished) and the solver work
+/// counted so far, which is also the finished result's
+/// [`PilpResult::solver`].
 #[derive(Default)]
 struct ProgressState {
     stage: AtomicUsize,
-    solves: AtomicUsize,
+    totals: Mutex<SolverTotals>,
+}
+
+/// The phase a progress stage encodes (`None` while validating and after
+/// the job finished).
+fn stage_phase(stage: usize) -> Option<PilpPhase> {
+    match stage {
+        1 => Some(PilpPhase::GlobalRouting),
+        2 => Some(PilpPhase::Visualization),
+        3 => Some(PilpPhase::Refinement),
+        _ => None,
+    }
 }
 
 /// A point-in-time progress snapshot of a layout job
@@ -210,7 +244,9 @@ pub struct JobProgress {
     /// The phase currently executing (`None` while validating and after
     /// the job finished).
     pub phase: Option<PilpPhase>,
-    /// Individual MILP solves issued so far.
+    /// Individual MILP solves counted so far: the running
+    /// [`crate::SolverTotals::solves`], equal to the result's
+    /// [`PilpResult::solver`] count once the job is done.
     pub solves: usize,
     /// Whether the job has produced its result (success or error).
     pub done: bool,
@@ -276,13 +312,8 @@ impl JobHandle {
     pub fn progress(&self) -> JobProgress {
         let stage = self.progress.stage.load(Ordering::Relaxed);
         JobProgress {
-            phase: match stage {
-                1 => Some(PilpPhase::GlobalRouting),
-                2 => Some(PilpPhase::Visualization),
-                3 => Some(PilpPhase::Refinement),
-                _ => None,
-            },
-            solves: self.progress.solves.load(Ordering::Relaxed),
+            phase: stage_phase(stage),
+            solves: sync::lock(&self.progress.totals).solves,
             done: stage == 4,
         }
     }
@@ -507,6 +538,8 @@ mod tests {
         assert!(progress.done);
         assert_eq!(progress.phase, None);
         assert!(progress.solves > 0);
+        // Progress and the result read the one set of solver totals.
+        assert_eq!(progress.solves, result.solver.solves);
         // `poll` after completion returns the same result.
         let polled = job.poll().expect("finished").expect("ok");
         assert_eq!(polled.solver.solves, result.solver.solves);

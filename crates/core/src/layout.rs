@@ -119,17 +119,20 @@ impl Layout {
         Some(self.equivalent_length(netlist, strip)? - target)
     }
 
+    /// Absolute length error of a strip (`infinity` if unrouted).
+    pub fn abs_length_error(&self, netlist: &Netlist, strip: MicrostripId) -> f64 {
+        self.length_error(netlist, strip)
+            .map(f64::abs)
+            .unwrap_or(f64::INFINITY)
+    }
+
     /// Largest absolute length error over all strips of the netlist
     /// (`infinity` if any strip is unrouted).
     pub fn max_length_error(&self, netlist: &Netlist) -> f64 {
         netlist
             .microstrips()
             .iter()
-            .map(|m| {
-                self.length_error(netlist, m.id)
-                    .map(f64::abs)
-                    .unwrap_or(f64::INFINITY)
-            })
+            .map(|m| self.abs_length_error(netlist, m.id))
             .fold(0.0, f64::max)
     }
 
@@ -243,6 +246,7 @@ mod tests {
         assert_eq!(layout.route(strip), None);
         assert_eq!(layout.bend_count(strip), 0);
         assert_eq!(layout.equivalent_length(&netlist, strip), None);
+        assert_eq!(layout.abs_length_error(&netlist, strip), f64::INFINITY);
         assert!(layout.max_length_error(&netlist).is_infinite());
     }
 

@@ -19,10 +19,10 @@
 //!
 //! Engineering deviations from the paper (documented in `DESIGN.md`): the
 //! non-overlap constraints are separated lazily instead of being enumerated
-//! up front, Phase 1 routes strip-by-strip in netlist order for large
-//! circuits (`progressive_nets`), and Phase 2 removes the bulk of the device
-//! overlap with a geometric legaliser before the windowed ILPs run. All of
-//! these keep the individual MILPs within reach of the bundled
+//! up front, Phase 1 always routes strip by strip (strips that touch a pad
+//! first, then by id), and Phase 2 removes the bulk of the device overlap
+//! with a geometric legaliser before the windowed ILPs run. All of these
+//! keep the individual MILPs within reach of the bundled
 //! branch-and-bound solver while preserving the model semantics.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -287,7 +287,7 @@ pub struct SolverTotals {
 }
 
 impl SolverTotals {
-    fn record(&mut self, solution: &rfic_milp::MilpSolution) {
+    pub(crate) fn record(&mut self, solution: &rfic_milp::MilpSolution) {
         self.solves += 1;
         self.nodes += solution.nodes;
         self.simplex_iterations += solution.simplex_iterations;
@@ -476,21 +476,20 @@ impl Pilp {
         ctl.check()?;
         let start = Instant::now();
         let mut snapshots = Vec::new();
-        let mut solver = SolverTotals::default();
 
         let t0 = Instant::now();
         ctl.note_phase(PilpPhase::GlobalRouting);
-        let phase1 = self.phase1(netlist, ctl, &mut solver)?;
+        let phase1 = self.phase1(netlist, ctl)?;
         snapshots.push(self.snapshot(netlist, PilpPhase::GlobalRouting, &phase1, t0.elapsed()));
 
         let t1 = Instant::now();
         ctl.note_phase(PilpPhase::Visualization);
-        let phase2 = self.phase2(netlist, &phase1, ctl, &mut solver)?;
+        let phase2 = self.phase2(netlist, &phase1, ctl)?;
         snapshots.push(self.snapshot(netlist, PilpPhase::Visualization, &phase2, t1.elapsed()));
 
         let t2 = Instant::now();
         ctl.note_phase(PilpPhase::Refinement);
-        let phase3 = self.phase3(netlist, phase2, ctl, &mut solver)?;
+        let phase3 = self.phase3(netlist, phase2, ctl)?;
         snapshots.push(self.snapshot(netlist, PilpPhase::Refinement, &phase3, t2.elapsed()));
 
         ctl.check()?;
@@ -500,7 +499,7 @@ impl Pilp {
             layout: phase3,
             snapshots,
             runtime,
-            solver,
+            solver: ctl.totals(),
             report,
         })
     }
@@ -570,12 +569,7 @@ impl Pilp {
     /// Strips that terminate on a pad are routed first so the pads anchor
     /// their devices near the boundary; the remaining strips then grow the
     /// placement inwards at (roughly) their target distances.
-    fn phase1(
-        &self,
-        netlist: &Netlist,
-        ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
-    ) -> Result<Layout, PilpError> {
+    fn phase1(&self, netlist: &Netlist, ctl: &crate::job::FlowCtl) -> Result<Layout, PilpError> {
         let mut base = Layout::new(netlist.area());
         let mut order: Vec<&rfic_netlist::Microstrip> = netlist.microstrips().iter().collect();
         order.sort_by_key(|m| {
@@ -607,14 +601,7 @@ impl Pilp {
                 .chain_points
                 .insert(strip.id, strip.suggested_chain_points.clamp(3, 6));
 
-            match self.solve_with_separation(
-                netlist,
-                config,
-                &base,
-                PilpPhase::GlobalRouting,
-                ctl,
-                totals,
-            ) {
+            match self.solve_with_separation(netlist, config, &base, ctl) {
                 Ok(layout) => base = layout,
                 Err(e) => {
                     // Fall back to a trivial two-point route between the
@@ -674,7 +661,6 @@ impl Pilp {
         netlist: &Netlist,
         phase1: &Layout,
         ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
     ) -> Result<Layout, PilpError> {
         let mut layout = phase1.clone();
         self.initial_placement(netlist, &mut layout);
@@ -692,14 +678,7 @@ impl Pilp {
             config
                 .strip_windows
                 .insert(strip.id, self.strip_window(netlist, &layout, strip.id));
-            if let Ok(updated) = self.solve_with_separation(
-                netlist,
-                config,
-                &layout,
-                PilpPhase::Visualization,
-                ctl,
-                totals,
-            ) {
+            if let Ok(updated) = self.solve_with_separation(netlist, config, &layout, ctl) {
                 layout = updated;
             }
             // Failures are tolerated here: Phase 3 will retry with more
@@ -781,7 +760,6 @@ impl Pilp {
         netlist: &Netlist,
         mut layout: Layout,
         ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
     ) -> Result<Layout, PilpError> {
         let mut extra_points: BTreeMap<MicrostripId, usize> = BTreeMap::new();
         for iteration in 0..self.config.max_refine_iters {
@@ -792,11 +770,8 @@ impl Pilp {
                 .iter()
                 .map(|m| m.id)
                 .filter(|&id| {
-                    let length_bad = layout
-                        .length_error(netlist, id)
-                        .map(|e| e.abs() > drc::LENGTH_TOLERANCE_UM)
-                        .unwrap_or(true);
-                    length_bad || !drc.for_strip(id).is_empty()
+                    layout.abs_length_error(netlist, id) > drc::LENGTH_TOLERANCE_UM
+                        || !drc.for_strip(id).is_empty()
                 })
                 .collect();
             if pending.is_empty() {
@@ -804,14 +779,8 @@ impl Pilp {
             }
             // Work on the worst strips first (largest length error).
             pending.sort_by(|a, b| {
-                let ea = layout
-                    .length_error(netlist, *a)
-                    .map(f64::abs)
-                    .unwrap_or(f64::INFINITY);
-                let eb = layout
-                    .length_error(netlist, *b)
-                    .map(f64::abs)
-                    .unwrap_or(f64::INFINITY);
+                let ea = layout.abs_length_error(netlist, *a);
+                let eb = layout.abs_length_error(netlist, *b);
                 eb.partial_cmp(&ea).unwrap_or(std::cmp::Ordering::Equal)
             });
 
@@ -824,14 +793,13 @@ impl Pilp {
                     &mut extra_points,
                     iteration,
                     ctl,
-                    totals,
                 );
                 if !solved && iteration > 0 {
                     // Re-routing alone cannot repair this strip (typically
                     // because its pins ended up farther apart than the exact
                     // length allows). Move one endpoint device and re-route
                     // all strips incident to it concurrently.
-                    solved = self.cluster_repair(netlist, &mut layout, strip_id, ctl, totals);
+                    solved = self.cluster_repair(netlist, &mut layout, strip_id, ctl);
                 }
                 if !solved
                     && self.config.try_rotations
@@ -843,7 +811,6 @@ impl Pilp {
                         strip_id,
                         &mut extra_points,
                         ctl,
-                        totals,
                     );
                 }
             }
@@ -854,7 +821,6 @@ impl Pilp {
     /// Re-routes a single strip with chain-point deletion (route
     /// simplification) and insertion (extra chain points) until its exact
     /// length is met. Returns `true` on success.
-    #[allow(clippy::too_many_arguments)]
     fn refine_strip(
         &self,
         netlist: &Netlist,
@@ -863,7 +829,6 @@ impl Pilp {
         extra_points: &mut BTreeMap<MicrostripId, usize>,
         iteration: usize,
         ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
     ) -> bool {
         let strip = netlist.microstrip(strip_id).expect("strip exists");
         // Chain-point deletion: start from the simplified current route.
@@ -885,14 +850,7 @@ impl Pilp {
         config
             .strip_windows
             .insert(strip_id, self.strip_window(netlist, layout, strip_id));
-        match self.solve_with_separation(
-            netlist,
-            config.clone(),
-            layout,
-            PilpPhase::Refinement,
-            ctl,
-            totals,
-        ) {
+        match self.solve_with_separation(netlist, config.clone(), layout, ctl) {
             Ok(updated) => {
                 *layout = updated;
                 true
@@ -902,22 +860,9 @@ impl Pilp {
                 // least improves; the next iteration will retry hard with an
                 // extra chain point.
                 config.hard_length = false;
-                if let Ok(updated) = self.solve_with_separation(
-                    netlist,
-                    config,
-                    layout,
-                    PilpPhase::Refinement,
-                    ctl,
-                    totals,
-                ) {
-                    let better = updated
-                        .length_error(netlist, strip_id)
-                        .map(f64::abs)
-                        .unwrap_or(f64::INFINITY)
-                        < layout
-                            .length_error(netlist, strip_id)
-                            .map(f64::abs)
-                            .unwrap_or(f64::INFINITY);
+                if let Ok(updated) = self.solve_with_separation(netlist, config, layout, ctl) {
+                    let better = updated.abs_length_error(netlist, strip_id)
+                        < layout.abs_length_error(netlist, strip_id);
                     if better {
                         *layout = updated;
                     }
@@ -938,7 +883,6 @@ impl Pilp {
         layout: &mut Layout,
         strip_id: MicrostripId,
         ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
     ) -> bool {
         let strip = netlist.microstrip(strip_id).expect("strip exists").clone();
         for terminal in strip.terminals() {
@@ -978,22 +922,11 @@ impl Pilp {
                     Rect::centered(p.center, 2.0 * self.config.tau_d, 2.0 * self.config.tau_d),
                 );
             }
-            if let Ok(updated) = self.solve_with_separation(
-                netlist,
-                config,
-                layout,
-                PilpPhase::Refinement,
-                ctl,
-                totals,
-            ) {
+            if let Ok(updated) = self.solve_with_separation(netlist, config, layout, ctl) {
                 let error_sum = |l: &Layout| -> f64 {
                     incident
                         .iter()
-                        .map(|&id| {
-                            l.length_error(netlist, id)
-                                .map(f64::abs)
-                                .unwrap_or(f64::INFINITY)
-                        })
+                        .map(|&id| l.abs_length_error(netlist, id))
                         .sum()
                 };
                 let before = error_sum(layout);
@@ -1019,7 +952,6 @@ impl Pilp {
         strip_id: MicrostripId,
         extra_points: &mut BTreeMap<MicrostripId, usize>,
         ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
     ) {
         let strip = netlist.microstrip(strip_id).expect("strip exists").clone();
         for terminal in strip.terminals() {
@@ -1049,18 +981,12 @@ impl Pilp {
                         extra_points,
                         0,
                         ctl,
-                        totals,
                     ) {
                         ok = false;
                         break;
                     }
                 }
-                if ok
-                    && candidate
-                        .length_error(netlist, strip_id)
-                        .map(|e| e.abs() <= drc::LENGTH_TOLERANCE_UM)
-                        .unwrap_or(false)
-                {
+                if ok && candidate.abs_length_error(netlist, strip_id) <= drc::LENGTH_TOLERANCE_UM {
                     *layout = candidate;
                     return;
                 }
@@ -1090,16 +1016,18 @@ impl Pilp {
     /// projection drops the dual steepest-edge weights, so a seeded replay
     /// re-prices its pivots, lands on alternate optima and costs more than
     /// a cold run.)
+    ///
+    /// The site's phase — which keys, budgets and blurs it — is the one
+    /// the control block reports ([`crate::job::FlowCtl::phase`]), and
+    /// every solve is counted there.
     fn solve_with_separation(
         &self,
         netlist: &Netlist,
         config: IlpConfig,
         base: &Layout,
-        phase: PilpPhase,
         ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
     ) -> Result<Layout, IlpError> {
-        self.solve_with_separation_impl(netlist, config, base, phase, ctl, totals, true)
+        self.solve_with_separation_impl(netlist, config, base, ctl, true)
     }
 
     /// The body of [`Pilp::solve_with_separation`], parameterised on
@@ -1107,17 +1035,15 @@ impl Pilp {
     /// solve. The quality gate at the bottom re-enters with
     /// `allow_patched = false` when a patched root produced a layout a
     /// fresh solve would not have been allowed to return.
-    #[allow(clippy::too_many_arguments)]
     fn solve_with_separation_impl(
         &self,
         netlist: &Netlist,
         config: IlpConfig,
         base: &Layout,
-        phase: PilpPhase,
         ctl: &crate::job::FlowCtl,
-        totals: &mut SolverTotals,
         allow_patched: bool,
     ) -> Result<Layout, IlpError> {
+        let phase = ctl.phase();
         let blurred = phase == PilpPhase::GlobalRouting;
         let retry_config = allow_patched.then(|| config.clone());
         let mut options = self.solve_options(phase);
@@ -1185,8 +1111,7 @@ impl Pilp {
             let outcome = match patched {
                 Some(outcome) => outcome,
                 None => {
-                    let outcome = match solve_with_fallback(&ilp, &options, &mut warm, ctl, totals)
-                    {
+                    let outcome = match solve_with_fallback(&ilp, &options, &mut warm, ctl) {
                         Ok(outcome) => outcome,
                         Err(e) => {
                             // Per-strip solve failures are tolerated by
@@ -1223,8 +1148,7 @@ impl Pilp {
                     outcome
                 }
             };
-            totals.record(&outcome.solution);
-            ctl.note_solve();
+            ctl.record_solve(&outcome.solution);
             if outcome.solution.status != rfic_milp::SolveStatus::Optimal {
                 provable = false;
             }
@@ -1254,9 +1178,7 @@ impl Pilp {
                         models.invalidate(key);
                     }
                     if let Some(config) = retry_config {
-                        return self.solve_with_separation_impl(
-                            netlist, config, base, phase, ctl, totals, false,
-                        );
+                        return self.solve_with_separation_impl(netlist, config, base, ctl, false);
                     }
                 }
             }
@@ -1284,11 +1206,8 @@ impl Pilp {
     ) -> bool {
         let drc = drc::check(netlist, layout, &DrcOptions::default());
         free_strips.iter().all(|&id| {
-            let exact = layout
-                .length_error(netlist, id)
-                .map(|e| e.abs() <= drc::LENGTH_TOLERANCE_UM)
-                .unwrap_or(false);
-            exact && drc.for_strip(id).is_empty()
+            layout.abs_length_error(netlist, id) <= drc::LENGTH_TOLERANCE_UM
+                && drc.for_strip(id).is_empty()
         })
     }
 }
@@ -1367,7 +1286,6 @@ fn solve_with_fallback(
     options: &SolveOptions,
     warm: &mut rfic_milp::WarmStart,
     ctl: &crate::job::FlowCtl,
-    totals: &mut SolverTotals,
 ) -> Result<crate::model::IlpOutcome, IlpError> {
     let mut last = match ilp.solve_warm(options, warm, ctl.pool()) {
         Ok(outcome) => return Ok(outcome),
@@ -1375,11 +1293,11 @@ fn solve_with_fallback(
         Err(e) => return Err(e),
     };
     for rung in fallback_ladder(options) {
-        totals.fallback_attempts += 1;
         let mut cold = rfic_milp::WarmStart::new();
-        match ilp.solve_warm(&rung, &mut cold, ctl.pool()) {
+        let result = ilp.solve_warm(&rung, &mut cold, ctl.pool());
+        ctl.record_fallback_rung(result.is_ok());
+        match result {
             Ok(outcome) => {
-                totals.fallback_recoveries += 1;
                 *warm = cold;
                 return Ok(outcome);
             }

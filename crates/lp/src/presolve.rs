@@ -172,8 +172,6 @@ pub struct Postsolve {
     /// Per-full-column scale factor `s_j` (1.0 for removed columns):
     /// `x_full = s_j · x_reduced`.
     col_scale: Vec<f64>,
-    /// Per-full-row scale factor `r_i` (1.0 for removed rows).
-    row_scale: Vec<f64>,
     /// Reductions in application order; replayed in reverse.
     stack: Vec<Reduction>,
     /// True when the transform is a no-op (no reductions, unit scales):
@@ -195,7 +193,6 @@ impl Postsolve {
             kept_rows: (0..num_rows).collect(),
             row_map: (0..num_rows).map(Some).collect(),
             col_scale: vec![1.0; num_vars],
-            row_scale: vec![1.0; num_rows],
             stack: Vec::new(),
             identity: true,
         }
@@ -217,23 +214,6 @@ impl Postsolve {
     /// problem, in reduced-column order.
     pub fn kept_columns(&self) -> &[usize] {
         &self.kept_cols
-    }
-
-    /// Number of variables in the original (full) problem.
-    pub fn full_num_vars(&self) -> usize {
-        self.orig_num_vars
-    }
-
-    /// Number of constraint rows in the original (full) problem.
-    pub fn full_num_rows(&self) -> usize {
-        self.orig_num_rows
-    }
-
-    /// Per-full-row equilibration factors `r_i` (1.0 for removed rows):
-    /// reduced row `i` is the original row scaled by `r_i`. Exposed for
-    /// reporting; primal restoration only needs the column factors.
-    pub fn row_scales(&self) -> &[f64] {
-        &self.row_scale
     }
 
     /// Map a reduced-space primal point back to the full variable space:
@@ -1305,7 +1285,6 @@ fn finish(
             kept_rows,
             row_map,
             col_scale,
-            row_scale,
             stack: work.stack,
             identity,
         },

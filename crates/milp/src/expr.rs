@@ -68,12 +68,6 @@ impl LinExpr {
         self
     }
 
-    /// Adds a constant to the expression.
-    pub fn add_constant(&mut self, value: f64) -> &mut Self {
-        self.constant += value;
-        self
-    }
-
     /// The coefficient of `var` (0 if absent).
     pub fn coeff(&self, var: VarId) -> f64 {
         self.terms.get(&var).copied().unwrap_or(0.0)
