@@ -7,14 +7,14 @@
 //!   length-exact layout a designer produces by iterative polygon pushing
 //!   (Table 1's "Manual" column). For the synthetic benchmark circuits this
 //!   is the generator's witness layout, plus the published reference
-//!   numbers of the real manual designs in [`reference`].
+//!   numbers of the real manual designs in [`mod@reference`].
 //! * [`sequential`] — a floorplan-then-route flow in the spirit of the
 //!   prior work the paper compares against (Aktuna et al.): devices are
 //!   placed first (without any knowledge of the length targets), then each
 //!   microstrip is routed with a grid maze router. It produces planar
 //!   layouts but cannot hit the exact lengths — demonstrating why
 //!   concurrent placement/routing is needed.
-//! * [`reference`] — the published Table-1 numbers of the paper, for
+//! * [`mod@reference`] — the published Table-1 numbers of the paper, for
 //!   side-by-side printing in the benchmark harness.
 
 #![forbid(unsafe_code)]

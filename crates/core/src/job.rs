@@ -26,16 +26,23 @@
 //!   replays each solve site as a pure lookup — the identical layout
 //!   with near-zero solver work.
 //!
+//! A job is a run of one netlist and a sweep ([`crate::Pilp::submit_sweep`])
+//! is a run of many: one runner lays the netlists out in order on one
+//! thread, each flow under its own control block and panic boundary, and
+//! fills each netlist's [`JobHandle`]. One write-once
+//! [`rfic_lp::sync::Slot`] type serves the job results, the pool's tree
+//! completions and a flow's fatal-error record.
+//!
 //! The process-wide default context behind [`crate::Pilp::run`] and
 //! [`crate::Pilp::submit`] is [`JobContext::global`]; servers that need
 //! their own pool lifecycle construct a [`JobContext`] and use
 //! [`crate::Pilp::submit_in`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use rfic_lp::sync::{self, LockExt};
+use rfic_lp::sync::{LockExt, Slot};
 use rfic_milp::{CancelToken, SolverPool};
 use rfic_netlist::Netlist;
 
@@ -116,7 +123,7 @@ pub(crate) struct FlowCtl {
     /// (a contained worker panic, a dead pool); surfaced by the next
     /// [`FlowCtl::check`] so the phase loops abort instead of papering
     /// over the fault with their per-strip fallbacks.
-    fatal: Mutex<Option<PilpError>>,
+    fatal: Slot<PilpError>,
 }
 
 impl FlowCtl {
@@ -128,7 +135,7 @@ impl FlowCtl {
         if self.cancel.is_cancelled() {
             return Err(PilpError::Cancelled);
         }
-        if let Some(fatal) = sync::lock(&self.fatal).clone() {
+        if let Some(fatal) = self.fatal.poll() {
             return Err(fatal);
         }
         if let Some(deadline) = self.deadline {
@@ -145,10 +152,7 @@ impl FlowCtl {
     /// Records a flow-fatal error (first one wins); the next
     /// [`FlowCtl::check`] checkpoint returns it.
     pub(crate) fn record_fatal(&self, error: PilpError) {
-        let mut slot = sync::lock(&self.fatal);
-        if slot.is_none() {
-            *slot = Some(error);
-        }
+        self.fatal.fill(error);
     }
 
     /// Time left until the deadline (`None` = no deadline).
@@ -192,38 +196,47 @@ impl FlowCtl {
         self.progress.stage.store(stage, Ordering::Relaxed);
     }
 
-    /// The phase the flow is in: it keys, budgets and blurs every solve
-    /// site, and it is the phase [`JobHandle::progress`] reports.
+    /// The phase the flow is in: it keys and budgets every solve site,
+    /// and it is the phase [`JobHandle::progress`] reports.
     pub(crate) fn phase(&self) -> PilpPhase {
         stage_phase(self.progress.stage.load(Ordering::Relaxed)).expect("solves run inside a phase")
     }
 
     /// Counts one MILP solve of the job.
     pub(crate) fn record_solve(&self, solution: &rfic_milp::MilpSolution) {
-        sync::lock(&self.progress.totals).record(solution);
+        self.progress.totals.lock_recover().record(solution);
     }
 
     /// Counts one fallback-ladder rung, and the recovery if it solved.
     pub(crate) fn record_fallback_rung(&self, recovered: bool) {
-        let mut totals = sync::lock(&self.progress.totals);
+        let mut totals = self.progress.totals.lock_recover();
         totals.fallback_attempts += 1;
         totals.fallback_recoveries += usize::from(recovered);
     }
 
     /// The job's solver work so far.
     pub(crate) fn totals(&self) -> SolverTotals {
-        *sync::lock(&self.progress.totals)
+        *self.progress.totals.lock_recover()
     }
 }
 
-/// Progress shared between the flow thread and the handle: the stage
-/// (0 = validating, 1–3 = the phases, 4 = finished) and the solver work
+/// What a flow's thread shares with its [`JobHandle`]: the stage
+/// (0 = validating, 1–3 = the phases, 4 = finished), the solver work
 /// counted so far, which is also the finished result's
-/// [`PilpResult::solver`].
+/// [`PilpResult::solver`], and the result itself.
 #[derive(Default)]
 struct ProgressState {
     stage: AtomicUsize,
     totals: Mutex<SolverTotals>,
+    result: Slot<Result<PilpResult, PilpError>>,
+}
+
+impl ProgressState {
+    /// Marks the flow finished and publishes its result.
+    fn finish(&self, result: Result<PilpResult, PilpError>) {
+        self.stage.store(4, Ordering::Relaxed);
+        self.result.fill(result);
+    }
 }
 
 /// The phase a progress stage encodes (`None` while validating and after
@@ -252,20 +265,12 @@ pub struct JobProgress {
     pub done: bool,
 }
 
-/// Result slot + wakeup for one job.
-#[derive(Default)]
-struct JobState {
-    result: Mutex<Option<Result<PilpResult, PilpError>>>,
-    cv: Condvar,
-}
-
 /// Handle to a submitted layout job ([`Pilp::submit`]).
 ///
 /// The handle is passive: dropping it neither cancels nor detaches the
 /// job (the flow keeps running on the shared pool); cancel explicitly if
 /// the result is no longer wanted.
 pub struct JobHandle {
-    state: Arc<JobState>,
     cancel: CancelToken,
     progress: Arc<ProgressState>,
 }
@@ -282,17 +287,13 @@ impl JobHandle {
     /// [`PilpError::PoolShutdown`] if the context was shut down
     /// mid-flight.
     pub fn wait(&self) -> Result<PilpResult, PilpError> {
-        let mut slot = self.state.result.lock_recover();
-        while slot.is_none() {
-            slot = sync::wait(&self.state.cv, slot);
-        }
-        slot.as_ref().expect("result present").clone()
+        self.progress.result.wait()
     }
 
     /// Non-blocking result check: `None` while the job is still running,
     /// otherwise a clone of the result.
     pub fn poll(&self) -> Option<Result<PilpResult, PilpError>> {
-        self.state.result.lock_recover().clone()
+        self.progress.result.poll()
     }
 
     /// Requests cancellation. The running solve notices within a few
@@ -313,102 +314,125 @@ impl JobHandle {
         let stage = self.progress.stage.load(Ordering::Relaxed);
         JobProgress {
             phase: stage_phase(stage),
-            solves: sync::lock(&self.progress.totals).solves,
+            solves: self.progress.totals.lock_recover().solves,
             done: stage == 4,
         }
     }
 }
 
-/// Spawns the flow thread for one job and wires up its control block.
+/// The thread name and the [`PilpError::Internal`] sites of one kind of
+/// run: a job or a sweep.
+struct RunNames {
+    thread: &'static str,
+    /// Site of a panic caught at a flow's boundary.
+    panic: &'static str,
+    /// Site of a failed thread spawn.
+    spawn: &'static str,
+}
+
+/// Runs `netlists` in order on one new thread, each as a full flow under
+/// its own control block and panic boundary, all sharing the context's
+/// pool and, with `use_cache`, its solve-site and model caches. Returns
+/// the run's cancel token and one [`JobHandle`] per netlist, in order.
 ///
-/// `use_cache` controls whether the job reads/feeds the context's
-/// [`FlowCache`]: the job API shares it (identical requests replay from
-/// memoized solve sites), while the legacy [`Pilp::run`] wrapper opts
-/// out so that repeated measurement runs in one process always perform —
-/// and report — the full solver work.
+/// `use_cache` is off only for [`Pilp::run`], so that repeated
+/// measurement runs in one process always perform — and report — the
+/// full solver work.
+fn spawn_flows(
+    pilp: Pilp,
+    netlists: Vec<Netlist>,
+    ctx: &JobContext,
+    use_cache: bool,
+    names: RunNames,
+) -> (CancelToken, Vec<JobHandle>) {
+    let cancel = CancelToken::new();
+    let handles: Vec<JobHandle> = netlists
+        .iter()
+        .map(|_| JobHandle {
+            cancel: cancel.clone(),
+            progress: Arc::default(),
+        })
+        .collect();
+    let flows: Vec<Arc<ProgressState>> = handles.iter().map(|h| Arc::clone(&h.progress)).collect();
+    let thread_cancel = cancel.clone();
+    let pool = ctx.pool.clone();
+    let cache = use_cache.then(|| Arc::clone(&ctx.cache));
+    let models = use_cache.then(|| Arc::clone(&ctx.models));
+    let spawned = std::thread::Builder::new()
+        .name(names.thread.into())
+        .spawn(move || {
+            for (netlist, flow) in netlists.iter().zip(&flows) {
+                // Panic boundary: whatever happens inside a flow, its
+                // result slot is filled — a panicking flow fails itself,
+                // not the netlists after it or the waiters on it.
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = rfic_lp::fault::fire("core.job.flow");
+                    let ctl = FlowCtl {
+                        cancel: thread_cancel.clone(),
+                        deadline: pilp.config().deadline.map(|d| Instant::now() + d),
+                        pool: pool.clone(),
+                        cache: cache.clone(),
+                        models: models.clone().map(crate::cache::ModelView::new),
+                        fingerprint: netlist.fingerprint(),
+                        progress: Arc::clone(flow),
+                        fatal: Slot::default(),
+                    };
+                    pilp.run_with(netlist, &ctl)
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(PilpError::Internal {
+                        site: names.panic.to_string(),
+                        payload: rfic_milp::panic_payload_string(payload.as_ref()),
+                    })
+                });
+                flow.finish(result);
+            }
+        });
+    if let Err(e) = spawned {
+        // Thread spawn failed (resource exhaustion): every flow fails
+        // immediately instead of panicking the submitter.
+        for handle in &handles {
+            handle.progress.finish(Err(PilpError::Internal {
+                site: names.spawn.to_string(),
+                payload: e.to_string(),
+            }));
+        }
+    }
+    (cancel, handles)
+}
+
+/// Spawns one job: a run of one netlist.
 pub(crate) fn spawn_job(
     pilp: Pilp,
     netlist: Netlist,
     ctx: &JobContext,
     use_cache: bool,
 ) -> JobHandle {
-    let cancel = CancelToken::new();
-    let progress = Arc::new(ProgressState::default());
-    let state = Arc::new(JobState::default());
-    let ctl = FlowCtl {
-        cancel: cancel.clone(),
-        deadline: pilp.config().deadline.map(|d| Instant::now() + d),
-        pool: ctx.pool.clone(),
-        cache: use_cache.then(|| Arc::clone(&ctx.cache)),
-        models: use_cache.then(|| crate::cache::ModelView::new(Arc::clone(&ctx.models))),
-        fingerprint: netlist.fingerprint(),
-        progress: Arc::clone(&progress),
-        fatal: Mutex::new(None),
+    let names = RunNames {
+        thread: "rfic-job",
+        panic: "core.job.flow",
+        spawn: "core.job.spawn",
     };
-    let thread_state = Arc::clone(&state);
-    let thread_progress = Arc::clone(&progress);
-    let spawned = std::thread::Builder::new()
-        .name("rfic-job".into())
-        .spawn(move || {
-            // Panic boundary: whatever happens inside the flow, the result
-            // slot is filled and waiters are woken — a panicking job must
-            // fail itself, not strand every `JobHandle::wait` on it.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = rfic_lp::fault::fire("core.job.flow");
-                pilp.run_with(&netlist, &ctl)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(PilpError::Internal {
-                    site: "core.job.flow".to_string(),
-                    payload: rfic_milp::panic_payload_string(payload.as_ref()),
-                })
-            });
-            thread_progress.stage.store(4, Ordering::Relaxed);
-            let mut slot = thread_state.result.lock_recover();
-            *slot = Some(result);
-            thread_state.cv.notify_all();
-        });
-    if let Err(e) = spawned {
-        // Thread spawn failed (resource exhaustion): the job fails
-        // immediately instead of panicking the submitter.
-        progress.stage.store(4, Ordering::Relaxed);
-        *state.result.lock_recover() = Some(Err(PilpError::Internal {
-            site: "core.job.spawn".to_string(),
-            payload: e.to_string(),
-        }));
-        state.cv.notify_all();
-    }
-    JobHandle {
-        state,
-        cancel,
-        progress,
-    }
-}
-
-/// Result slot + wakeup + progress for one parameter sweep.
-#[derive(Default)]
-struct SweepState {
-    result: Mutex<Option<Vec<Result<PilpResult, PilpError>>>>,
-    completed: AtomicUsize,
-    cv: Condvar,
+    let (_, mut handles) = spawn_flows(pilp, vec![netlist], ctx, use_cache, names);
+    handles.pop().expect("one handle per netlist")
 }
 
 /// Handle to a submitted parameter sweep ([`Pilp::submit_sweep`]).
 ///
-/// A sweep runs its variants **sequentially, in submission order, on one
-/// background thread**, sharing the context's solver pool and caches.
-/// Sequential execution is what makes the sweep fast *and* reproducible:
-/// each variant's solves re-enter the structure-keyed [`ModelCache`]
-/// entries its predecessor left warm, and the cache traversal is
-/// identical to submitting the same variants one at a time — so the
-/// layouts are bit-identical to sequential individual submissions.
+/// A sweep is a run of many netlists: its variants run **sequentially,
+/// in submission order, on one background thread**, sharing the
+/// context's solver pool and caches. Sequential execution is what makes
+/// the sweep fast *and* reproducible: each variant's solves re-enter the
+/// structure-keyed [`ModelCache`] entries its predecessor left warm, and
+/// the cache traversal is identical to submitting the same variants one
+/// at a time — so the layouts are bit-identical to sequential individual
+/// submissions.
 ///
 /// Like [`JobHandle`], the handle is passive: dropping it neither
 /// cancels nor detaches the sweep.
 pub struct SweepHandle {
-    state: Arc<SweepState>,
+    jobs: Vec<JobHandle>,
     cancel: CancelToken,
-    variants: usize,
 }
 
 impl SweepHandle {
@@ -416,30 +440,23 @@ impl SweepHandle {
     /// per-variant results, in submission order. Can be called more than
     /// once.
     pub fn wait(&self) -> Vec<Result<PilpResult, PilpError>> {
-        let mut slot = self.state.result.lock_recover();
-        while slot.is_none() {
-            slot = sync::wait(&self.state.cv, slot);
-        }
-        slot.as_ref().expect("result present").clone()
+        self.jobs.iter().map(JobHandle::wait).collect()
     }
 
     /// Non-blocking result check: `None` while variants are still
     /// running, otherwise a clone of the per-variant results.
     pub fn poll(&self) -> Option<Vec<Result<PilpResult, PilpError>>> {
-        self.state.result.lock_recover().clone()
+        self.jobs.iter().map(JobHandle::poll).collect()
     }
 
     /// Number of variants that have finished (success or error).
     pub fn completed(&self) -> usize {
-        self.state
-            .completed
-            .load(Ordering::Relaxed)
-            .min(self.variants)
+        self.jobs.iter().filter(|job| job.progress().done).count()
     }
 
     /// Total number of variants submitted.
     pub fn variants(&self) -> usize {
-        self.variants
+        self.jobs.len()
     }
 
     /// Requests cancellation of the whole sweep: the in-flight variant
@@ -455,70 +472,17 @@ impl SweepHandle {
     }
 }
 
-/// Spawns the sweep thread: variants run sequentially in submission
-/// order, each as a full flow under its own control block, all sharing
-/// the context's pool, solve-site cache and model cache (that sharing is
-/// the sweep fast path — see [`crate::cache::ModelCache`]).
+/// Spawns a sweep: a run of the variants, sharing the context's pool,
+/// solve-site cache and model cache (that sharing is the sweep fast path
+/// — see [`crate::cache::ModelCache`]).
 pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) -> SweepHandle {
-    let cancel = CancelToken::new();
-    let state = Arc::new(SweepState::default());
-    let pool = ctx.pool.clone();
-    let cache = Arc::clone(&ctx.cache);
-    let models = Arc::clone(&ctx.models);
-    let count = variants.len();
-    let thread_state = Arc::clone(&state);
-    let thread_cancel = cancel.clone();
-    let spawned = std::thread::Builder::new()
-        .name("rfic-sweep".into())
-        .spawn(move || {
-            let mut results = Vec::with_capacity(variants.len());
-            for netlist in &variants {
-                // Per-variant panic boundary, like `spawn_job`'s: a
-                // panicking variant fails itself without stranding the
-                // rest of the sweep or its waiters.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = rfic_lp::fault::fire("core.job.flow");
-                    let ctl = FlowCtl {
-                        cancel: thread_cancel.clone(),
-                        deadline: pilp.config().deadline.map(|d| Instant::now() + d),
-                        pool: pool.clone(),
-                        cache: Some(Arc::clone(&cache)),
-                        models: Some(crate::cache::ModelView::new(Arc::clone(&models))),
-                        fingerprint: netlist.fingerprint(),
-                        progress: Arc::new(ProgressState::default()),
-                        fatal: Mutex::new(None),
-                    };
-                    pilp.run_with(netlist, &ctl)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(PilpError::Internal {
-                        site: "core.job.sweep".to_string(),
-                        payload: rfic_milp::panic_payload_string(payload.as_ref()),
-                    })
-                });
-                results.push(result);
-                thread_state.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut slot = thread_state.result.lock_recover();
-            *slot = Some(results);
-            thread_state.cv.notify_all();
-        });
-    if let Err(e) = spawned {
-        let failure = || {
-            Err(PilpError::Internal {
-                site: "core.job.sweep.spawn".to_string(),
-                payload: e.to_string(),
-            })
-        };
-        state.completed.store(count, Ordering::Relaxed);
-        *state.result.lock_recover() = Some((0..count).map(|_| failure()).collect());
-        state.cv.notify_all();
-    }
-    SweepHandle {
-        state,
-        cancel,
-        variants: count,
-    }
+    let names = RunNames {
+        thread: "rfic-sweep",
+        panic: "core.job.sweep",
+        spawn: "core.job.sweep.spawn",
+    };
+    let (cancel, jobs) = spawn_flows(pilp, variants, ctx, true, names);
+    SweepHandle { jobs, cancel }
 }
 
 #[cfg(test)]
@@ -547,11 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_netlist_surfaces_through_the_job_api() {
-        // An empty netlist fails validation-by-construction later in the
-        // flow: use an area-less netlist via the builder's error path
-        // instead — here we just check the deadline error plumbing with a
-        // zero deadline, which trips before any solve.
+    fn zero_deadline_fails_before_any_solve() {
         let ctx = JobContext::new(1);
         let circuit = benchmarks::tiny_circuit();
         let config = PilpConfig {
@@ -560,6 +520,28 @@ mod tests {
         };
         let job = Pilp::new(config).submit_in(&circuit.netlist, &ctx);
         assert!(matches!(job.wait(), Err(PilpError::DeadlineExceeded)));
+        ctx.shutdown();
+    }
+
+    #[test]
+    fn cancelled_sweep_fails_every_remaining_variant() {
+        let ctx = JobContext::new(1);
+        let circuit = benchmarks::tiny_circuit();
+        let pilp = Pilp::new(PilpConfig::fast());
+        let sweep = pilp.submit_sweep_in(&vec![circuit.netlist.clone(); 3], &ctx);
+        sweep.cancel();
+        let results = sweep.wait();
+        assert_eq!(results.len(), 3);
+        assert!(results
+            .iter()
+            .all(|r| matches!(r, Err(PilpError::Cancelled))));
+        assert_eq!(sweep.completed(), 3);
+        assert_eq!(sweep.variants(), 3);
+        assert!(sweep.is_cancelled());
+        // An empty sweep is finished the moment it is submitted.
+        let empty = pilp.submit_sweep_in(&[], &ctx);
+        assert!(empty.wait().is_empty());
+        assert!(empty.poll().is_some_and(|results| results.is_empty()));
         ctx.shutdown();
     }
 }

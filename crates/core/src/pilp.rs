@@ -80,11 +80,12 @@ pub struct PilpConfig {
     /// Time limit per individual MILP solve (the fallback when
     /// [`PilpConfig::phase_budgets`] has no entry for a phase).
     pub solve_time_limit: Duration,
-    /// Overall wall-clock deadline for one flow run, measured from job
-    /// submission. Individual solve time limits are capped to the time
-    /// remaining, and a run that exceeds the deadline fails with
-    /// [`PilpError::DeadlineExceeded`]. `None` (the default) runs without
-    /// a deadline.
+    /// Overall wall-clock deadline for one flow run, measured from the
+    /// start of the flow: for a job that is within a thread spawn of
+    /// submission, for a sweep it is each variant's start. Individual
+    /// solve time limits are capped to the time remaining, and a run that
+    /// exceeds the deadline fails with [`PilpError::DeadlineExceeded`].
+    /// `None` (the default) runs without a deadline.
     pub deadline: Option<Duration>,
     /// Optional per-phase overrides of the per-solve time limit.
     pub phase_budgets: PhaseBudgets,
@@ -1017,7 +1018,7 @@ impl Pilp {
     /// re-prices its pivots, lands on alternate optima and costs more than
     /// a cold run.)
     ///
-    /// The site's phase — which keys, budgets and blurs it — is the one
+    /// The site's phase — which keys and budgets it — is the one
     /// the control block reports ([`crate::job::FlowCtl::phase`]), and
     /// every solve is counted there.
     fn solve_with_separation(
@@ -1044,7 +1045,6 @@ impl Pilp {
         allow_patched: bool,
     ) -> Result<Layout, IlpError> {
         let phase = ctl.phase();
-        let blurred = phase == PilpPhase::GlobalRouting;
         let retry_config = allow_patched.then(|| config.clone());
         let mut options = self.solve_options(phase);
         options.cancel = Some(ctl.cancel_token().clone());
@@ -1069,7 +1069,7 @@ impl Pilp {
         // blurred or soft-length sites no local check can tell a healthy
         // alternate optimum from one that derails the downstream phases,
         // so those sites always take the (deterministic) fresh path.
-        let patchable = !blurred && ilp.config().hard_length;
+        let patchable = !ilp.config().blur_devices && ilp.config().hard_length;
         let structure_key = if patchable {
             ctl.model_cache().map(|_| ilp.structure_fingerprint())
         } else {
@@ -1152,7 +1152,7 @@ impl Pilp {
             if outcome.solution.status != rfic_milp::SolveStatus::Optimal {
                 provable = false;
             }
-            let new_pairs = violating_pairs(netlist, &outcome.layout, ilp.config(), blurred);
+            let new_pairs = violating_pairs(netlist, &outcome.layout, ilp.config());
             best = Some(outcome.layout);
             if new_pairs.is_empty() {
                 break;
@@ -1467,12 +1467,12 @@ fn shift_device(
 }
 
 /// Finds non-overlap pairs violated by `layout` that involve at least one
-/// free object of `config` (lazy constraint separation).
+/// free object of `config` (lazy constraint separation). Devices count
+/// only at sites that do not blur them.
 pub(crate) fn violating_pairs(
     netlist: &Netlist,
     layout: &Layout,
     config: &IlpConfig,
-    blurred: bool,
 ) -> Vec<PairSpec> {
     let margin = netlist.tech().expansion_margin();
     let mut pairs = Vec::new();
@@ -1485,7 +1485,7 @@ pub(crate) fn violating_pairs(
         }
     }
     let mut device_boxes: BTreeMap<DeviceId, Rect> = BTreeMap::new();
-    if !blurred {
+    if !config.blur_devices {
         for device in netlist.devices() {
             if let Some(outline) = layout.device_outline(netlist, device.id) {
                 device_boxes.insert(device.id, outline.expanded(margin));
@@ -1747,7 +1747,7 @@ mod tests {
         let route_a = layout.routes[&a].clone();
         layout.routes.insert(b, route_a);
         let config = IlpConfig::single_strip(b);
-        let pairs = violating_pairs(netlist, &layout, &config, false);
+        let pairs = violating_pairs(netlist, &layout, &config);
         assert!(
             pairs
                 .iter()

@@ -18,7 +18,7 @@
 //! * [`Fault::Delay`] — sleep before continuing, proving deadline
 //!   accounting.
 //!
-//! Arming is either programmatic ([`FaultPlan::install`], which also
+//! Arming is either programmatic (`FaultPlan::install`, which also
 //! serialises concurrent fault tests within one process) or via the
 //! `RFIC_FAILPOINTS` environment variable
 //! (`"site=panic;other=singular*2;slow=delay:500"` — `*N` fires the

@@ -357,7 +357,7 @@ impl LinearProgram {
 
     /// Replaces the bounds of one variable as a **value patch**: the
     /// constraint matrix is untouched, so neither the memoised
-    /// [`MatrixCache`] (and its fingerprint) nor any [`Basis`]
+    /// `MatrixCache` (and its fingerprint) nor any [`Basis`]
     /// factorisation keyed on that fingerprint is invalidated. A basis
     /// captured from a previous solve of this program re-enters *live* —
     /// factorisation and dual steepest-edge weights included — and the

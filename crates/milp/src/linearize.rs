@@ -3,7 +3,7 @@
 //! The paper's ILP model multiplies 0-1 direction variables with differences
 //! of continuous coordinates (equation (6)) and uses big-M disjunctions for
 //! the non-overlap constraints (16)–(20); both are standard reformulations
-//! from Chen, Batson and Dang, *Applied Integer Programming* (reference [13]
+//! from Chen, Batson and Dang, *Applied Integer Programming* (reference \[13\]
 //! of the paper). This module collects those reformulations so the layout
 //! model can state its intent directly.
 

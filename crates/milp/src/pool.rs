@@ -34,30 +34,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use rfic_lp::sync::{self, LockExt};
+use rfic_lp::sync::{self, LockExt, Slot};
 
 use crate::solve::{panic_payload_string, record_worker_failure, worker, MilpError, Shared};
-
-/// Signalled when the last worker detaches from a tree.
-#[derive(Default)]
-struct DoneFlag {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl DoneFlag {
-    fn signal(&self) {
-        *self.done.lock_recover() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock_recover();
-        while !*done {
-            done = sync::wait(&self.cv, done);
-        }
-    }
-}
 
 /// One registered tree: the shared search state plus slot bookkeeping.
 struct QueuedTree {
@@ -72,7 +51,8 @@ struct QueuedTree {
     attached: usize,
     /// Set by the first worker to return from the tree.
     finished: bool,
-    done: Arc<DoneFlag>,
+    /// Filled when the last worker detaches (wakes the submitter).
+    done: Arc<Slot<()>>,
 }
 
 struct PoolState {
@@ -159,7 +139,7 @@ impl SolverPool {
 
     /// Stops the pool: every queued tree is stopped through the limit
     /// flag (in-flight solves return their incumbent), the workers are
-    /// joined, and later pooled [`Model::solve_warm`] calls fail with
+    /// joined, and later pooled [`crate::Model::solve_warm`] calls fail with
     /// [`MilpError::PoolShutdown`]. Idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
@@ -174,7 +154,7 @@ impl SolverPool {
                 if entry.attached == 0 && entry.taken == 0 {
                     let entry = state.queue.remove(i).unwrap();
                     state.completed += 1;
-                    entry.done.signal();
+                    entry.done.fill(());
                 } else {
                     i += 1;
                 }
@@ -192,7 +172,7 @@ impl SolverPool {
     /// registered tree and `slots >= workers` this is indistinguishable
     /// from the scoped-thread search.
     pub(crate) fn run_tree(&self, tree: Arc<Shared>) -> Result<(), MilpError> {
-        let done = Arc::new(DoneFlag::default());
+        let done = Arc::new(Slot::default());
         {
             let mut state = self.inner.state.lock_recover();
             if self.inner.shutdown.load(Ordering::SeqCst) {
@@ -276,7 +256,7 @@ fn worker_main(inner: Arc<PoolInner>) {
             if entry.attached == 0 {
                 let entry = state.queue.remove(pos).unwrap();
                 state.completed += 1;
-                entry.done.signal();
+                entry.done.fill(());
             }
         }
     }

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rfic_lp::sync::LockExt;
+use rfic_lp::sync::{LockExt, Slot};
 
 use rfic_lp::{
     Basis, CancelToken, ConstraintOp, LinearProgram, LpError, LpSolution, Postsolve,
@@ -659,7 +659,8 @@ pub(crate) struct Shared {
     waiting: AtomicUsize,
     stop: AtomicBool,
     limit_hit: AtomicBool,
-    error: Mutex<Option<MilpError>>,
+    /// The tree's first worker-fatal error.
+    error: Slot<MilpError>,
 }
 
 impl Shared {
@@ -915,12 +916,7 @@ pub(crate) fn worker_caught(shared: &Shared, worker_id: usize) {
 /// Records a worker-fatal error on the tree (first error wins) and stops
 /// the search.
 pub(crate) fn record_worker_failure(shared: &Shared, error: MilpError) {
-    {
-        let mut slot = shared.error.lock_recover();
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-    }
+    shared.error.fill(error);
     shared.request_stop();
 }
 
@@ -1066,7 +1062,7 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
             return;
         }
         Err(e) => {
-            *shared.error.lock_recover() = Some(MilpError::Lp(e));
+            shared.error.fill(MilpError::Lp(e));
             shared.stop.store(true, Ordering::SeqCst);
             shared.cv.notify_all();
             return;
@@ -1597,7 +1593,7 @@ pub(crate) fn branch_and_bound(
         waiting: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         limit_hit: AtomicBool::new(false),
-        error: Mutex::new(None),
+        error: Slot::default(),
     });
 
     match shared.select_branch_var(&current_solution.values) {
@@ -1690,7 +1686,7 @@ pub(crate) fn branch_and_bound(
     let lp_dual_iterations = shared.lp_work.dual_pivots.load(Ordering::Relaxed);
     let lp_bound_flips = shared.lp_work.bound_flips.load(Ordering::Relaxed);
     let limit_hit = shared.limit_hit.load(Ordering::SeqCst);
-    if let Some(err) = shared.error.lock_recover().take() {
+    if let Some(err) = shared.error.poll() {
         return Err(err);
     }
     // Read through the locks rather than unwrapping the `Arc`: a pool
