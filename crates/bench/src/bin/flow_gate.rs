@@ -78,8 +78,6 @@ fn measure_tiny_flow() -> Result<FlowRecord, String> {
         fallback_recoveries: result.solver.fallback_recoveries as u64,
         requests_per_sec: 0.0,
         sweep_variants: 0,
-        cold_wall_ms: 0.0,
-        cold_simplex_iterations: 0,
     })
 }
 
@@ -163,40 +161,23 @@ fn measure_concurrent_throughput() -> Result<FlowRecord, String> {
         fallback_recoveries: fallbacks.1,
         requests_per_sec: CONCURRENT_JOBS as f64 / (wall_ms / 1e3),
         sweep_variants: 0,
-        cold_wall_ms: 0.0,
-        cold_simplex_iterations: 0,
     })
 }
 
 /// Target-length scales of the sweep measurement's variants — the fine
 /// 0.5% perturbations a matching-network length sweep actually explores.
-/// Scaling targets *up* keeps every variant routable in the fixed area,
-/// and target lengths enter the layout models as constraint values only
-/// — exactly the equal-structure shape the sweep fast path exists for.
-/// Every scale on the list completes the *cold* flow DRC-clean with all
-/// lengths exact (1.015 is skipped: its refinement leaves one spacing
-/// violation regardless of caching), so the gate measures the fast path
-/// against a clean baseline instead of flow robustness.
+/// Scaling targets *up* keeps every variant routable in the fixed area.
+/// Every scale on the list completes DRC-clean with all lengths exact
+/// (1.015 is skipped: its refinement leaves one spacing violation), so
+/// the gate measures sweeps rather than flow robustness.
 const SWEEP_SCALES: [f64; SWEEP_VARIANTS] = [1.0, 1.005, 1.01, 1.02, 1.025, 1.03, 1.035, 1.04];
 
-/// The parameter variants of the sweep measurement: [`SWEEP_SCALES`]
-/// applied to the committed tiny circuit.
-fn sweep_netlists() -> Vec<rfic_netlist::Netlist> {
-    let circuit = benchmarks::tiny_circuit();
-    SWEEP_SCALES
-        .iter()
-        .map(|&scale| circuit.netlist.with_target_scale(scale))
-        .collect()
-}
-
-/// Checks one sweep-measurement result for full quality (every strip
-/// exact, DRC-clean) and returns `(strips, exact, bends, max_error,
-/// pivots)`.
+/// Checks one sweep variant for full quality (every strip exact,
+/// DRC-clean) and returns `(strips, exact, bends, max_error)`.
 fn check_sweep_result(
-    label: &str,
     index: usize,
     result: &rfic_core::PilpResult,
-) -> Result<(u64, u64, u64, f64, u64), String> {
+) -> Result<(u64, u64, u64, f64), String> {
     let report = result.report();
     let exact = report
         .strips
@@ -205,13 +186,13 @@ fn check_sweep_result(
         .count() as u64;
     if exact < report.strips.len() as u64 {
         return Err(format!(
-            "{label} variant {index}: only {exact}/{} strips reached exact length",
+            "sweep variant {index}: only {exact}/{} strips reached exact length",
             report.strips.len()
         ));
     }
     if report.drc_violations > 0 {
         return Err(format!(
-            "{label} variant {index}: {} DRC violations",
+            "sweep variant {index}: {} DRC violations",
             report.drc_violations
         ));
     }
@@ -220,36 +201,22 @@ fn check_sweep_result(
         exact,
         report.total_bends as u64,
         report.max_length_error,
-        result.solver.simplex_iterations as u64,
     ))
 }
 
-/// Measures the parameter-sweep fast path: [`SWEEP_VARIANTS`] tiny-circuit
-/// variants once as independent cold runs (the reference: every variant
-/// rebuilds and solves its models from scratch) and once as one batched
-/// [`Pilp::submit_sweep_in`] sweep over a fresh [`JobContext`] (variants
-/// share the structure-keyed model cache, so equal-structure models are
-/// value-patched and re-solved from the retained basis). Every variant of
-/// both runs must reach exact length on every strip and stay DRC-clean.
+/// Measures a parameter sweep: [`SWEEP_VARIANTS`] tiny-circuit variants
+/// ([`SWEEP_SCALES`]) as one batched [`Pilp::submit_sweep_in`] sweep over
+/// a fresh [`JobContext`]. Every variant must reach exact length on every
+/// strip and stay DRC-clean.
 fn measure_sweep() -> Result<FlowRecord, String> {
-    let variants = sweep_netlists();
+    let circuit = benchmarks::tiny_circuit();
+    let variants: Vec<_> = SWEEP_SCALES
+        .iter()
+        .map(|&scale| circuit.netlist.with_target_scale(scale))
+        .collect();
     let pilp = Pilp::new(PilpConfig::fast());
 
-    println!(
-        "flow-gate: running {SWEEP_VARIANTS} tiny-circuit variants as independent cold runs ..."
-    );
-    let cold_start = Instant::now();
-    let mut cold_pivots = 0u64;
-    for (i, netlist) in variants.iter().enumerate() {
-        let result = pilp
-            .run(netlist)
-            .map_err(|e| format!("cold variant {i} failed: {e}"))?;
-        let (.., pivots) = check_sweep_result("cold", i, &result)?;
-        cold_pivots += pivots;
-    }
-    let cold_wall_ms = cold_start.elapsed().as_secs_f64() * 1e3;
-
-    println!("flow-gate: running the same {SWEEP_VARIANTS} variants as one batched sweep ...");
+    println!("flow-gate: running {SWEEP_VARIANTS} tiny-circuit variants as one batched sweep ...");
     let ctx = JobContext::new(0);
     let sweep_start = Instant::now();
     let results = pilp.submit_sweep_in(&variants, &ctx).wait();
@@ -265,7 +232,7 @@ fn measure_sweep() -> Result<FlowRecord, String> {
         let result = outcome
             .as_ref()
             .map_err(|e| format!("sweep variant {i} failed: {e}"))?;
-        let (s, e, bends, error, _) = check_sweep_result("sweep", i, result)?;
+        let (s, e, bends, error) = check_sweep_result(i, result)?;
         strips += s;
         exact_lengths += e;
         total_bends += bends;
@@ -298,8 +265,6 @@ fn measure_sweep() -> Result<FlowRecord, String> {
         fallback_recoveries: totals.fallback_recoveries as u64,
         requests_per_sec: 0.0,
         sweep_variants: SWEEP_VARIANTS as u64,
-        cold_wall_ms,
-        cold_simplex_iterations: cold_pivots,
     })
 }
 
@@ -370,15 +335,12 @@ fn main() -> ExitCode {
     for record in &current {
         if record.sweep_variants > 0 {
             println!(
-                "flow-gate: {}: sweep wall {:.0} ms / {} pivots vs cold {:.0} ms / {} pivots \
-                 ({:.2}x wall speedup), {}/{} exact lengths, {} bends total, worst |ΔL| \
-                 {:.3} µm",
+                "flow-gate: {}: {} variants, wall {:.0} ms, {} pivots, {}/{} exact lengths, \
+                 {} bends total, worst |ΔL| {:.3} µm",
                 record.name,
+                record.sweep_variants,
                 record.wall_ms,
                 record.simplex_iterations,
-                record.cold_wall_ms,
-                record.cold_simplex_iterations,
-                record.cold_wall_ms / record.wall_ms.max(1e-9),
                 record.exact_lengths,
                 record.strips,
                 record.total_bends,

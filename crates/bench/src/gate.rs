@@ -348,19 +348,10 @@ pub struct FlowRecord {
     /// records (several jobs multiplexed over one shared solver pool);
     /// `0` for single-flow records and baselines predating the job API.
     pub requests_per_sec: f64,
-    /// Number of variants for parameter-sweep records (the batched sweep
-    /// measured against the same variants submitted cold, one at a
-    /// time); `0` for non-sweep records and baselines predating the
-    /// sweep fast path. Sweep records carry the *sweep* cost in
-    /// `wall_ms`/`simplex_iterations` and the cold cost in the two
-    /// fields below.
+    /// Number of variants for parameter-sweep records (one batched
+    /// sweep whose `wall_ms` and counters sum over every variant); `0`
+    /// for non-sweep records and baselines predating sweeps.
     pub sweep_variants: u64,
-    /// Wall-clock time of the cold one-at-a-time reference run,
-    /// milliseconds (`0` for non-sweep records).
-    pub cold_wall_ms: f64,
-    /// Simplex pivots of the cold one-at-a-time reference run (`0` for
-    /// non-sweep records).
-    pub cold_simplex_iterations: u64,
 }
 
 /// Serialises flow records in the committed `BENCH_flow.json` format.
@@ -374,8 +365,7 @@ pub fn flow_json(records: &[FlowRecord]) -> String {
              \"presolve_rows_removed\": {}, \"presolve_cols_removed\": {}, \
              \"presolve_nonzeros_removed\": {}, \"fallback_attempts\": {}, \
              \"fallback_recoveries\": {}, \"requests_per_sec\": {:.3}, \
-             \"sweep_variants\": {}, \"cold_wall_ms\": {:.1}, \
-             \"cold_simplex_iterations\": {} }}{}\n",
+             \"sweep_variants\": {} }}{}\n",
             r.name,
             r.wall_ms,
             r.strips,
@@ -393,8 +383,6 @@ pub fn flow_json(records: &[FlowRecord]) -> String {
             r.fallback_recoveries,
             r.requests_per_sec,
             r.sweep_variants,
-            r.cold_wall_ms,
-            r.cold_simplex_iterations,
             if i + 1 < records.len() { "," } else { "" },
         ));
     }
@@ -430,8 +418,6 @@ pub fn parse_flow_json(text: &str) -> Result<Vec<FlowRecord>, String> {
                 fallback_recoveries: optional_count("fallback_recoveries"),
                 requests_per_sec: optional_number(object, "requests_per_sec"),
                 sweep_variants: optional_count("sweep_variants"),
-                cold_wall_ms: optional_number(object, "cold_wall_ms"),
-                cold_simplex_iterations: optional_count("cold_simplex_iterations"),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -457,13 +443,6 @@ impl FlowGateReport {
     }
 }
 
-/// Maximum tolerated shrink of a sweep record's measured speedup
-/// (`cold_wall_ms / wall_ms`) relative to the committed baseline before
-/// the gate fails: the sweep fast path losing more than this fraction of
-/// its advantage is a regression of the feature itself, even if the
-/// absolute wall time still clears the generic threshold.
-pub const SWEEP_SPEEDUP_REGRESSION_PCT: f64 = 30.0;
-
 /// Gates a fresh flow run against the committed baseline.
 ///
 /// Two failure classes, per the CI contract:
@@ -474,11 +453,8 @@ pub const SWEEP_SPEEDUP_REGRESSION_PCT: f64 = 30.0;
 ///   `threshold_pct` percent *and* more than `min_abs_ms` milliseconds
 ///   (the absolute floor filters scheduler noise on short flows).
 ///
-/// Sweep records (`sweep_variants > 0`) additionally gate the fast path
-/// itself: the batched sweep must beat its cold one-at-a-time reference
-/// in wall time *and* total simplex pivots, must be DRC-clean, and its
-/// measured speedup must not shrink by more than
-/// [`SWEEP_SPEEDUP_REGRESSION_PCT`] percent against the baseline record.
+/// Sweep records (`sweep_variants > 0`) must also be DRC-clean in every
+/// variant.
 ///
 /// Baseline flows missing from the current run fail; current flows absent
 /// from the baseline are reported as notes.
@@ -496,51 +472,11 @@ pub fn flow_gate(
                 cur.name, cur.exact_lengths, cur.strips
             ));
         }
-        if cur.sweep_variants > 0 {
-            if cur.drc_violations > 0 {
-                report.failures.push(format!(
-                    "{}: sweep produced {} DRC violations",
-                    cur.name, cur.drc_violations
-                ));
-            }
-            if cur.wall_ms >= cur.cold_wall_ms {
-                report.failures.push(format!(
-                    "{}: {}-variant sweep took {:.0} ms, not faster than {:.0} ms cold",
-                    cur.name, cur.sweep_variants, cur.wall_ms, cur.cold_wall_ms
-                ));
-            }
-            if cur.simplex_iterations >= cur.cold_simplex_iterations {
-                report.failures.push(format!(
-                    "{}: sweep spent {} pivots, not fewer than {} cold",
-                    cur.name, cur.simplex_iterations, cur.cold_simplex_iterations
-                ));
-            }
-            if let Some(base) = baseline
-                .iter()
-                .find(|b| b.name == cur.name && b.sweep_variants > 0)
-            {
-                if base.wall_ms > 0.0 && cur.wall_ms > 0.0 {
-                    let base_speedup = base.cold_wall_ms / base.wall_ms;
-                    let cur_speedup = cur.cold_wall_ms / cur.wall_ms;
-                    let floor = base_speedup * (1.0 - SWEEP_SPEEDUP_REGRESSION_PCT / 100.0);
-                    if cur_speedup < floor {
-                        report.failures.push(format!(
-                            "{}: sweep speedup {:.2}x fell below {:.2}x \
-                             (baseline {:.2}x minus {} %)",
-                            cur.name,
-                            cur_speedup,
-                            floor,
-                            base_speedup,
-                            SWEEP_SPEEDUP_REGRESSION_PCT
-                        ));
-                    } else {
-                        report.notes.push(format!(
-                            "{}: sweep speedup {:.2}x (baseline {:.2}x)",
-                            cur.name, cur_speedup, base_speedup
-                        ));
-                    }
-                }
-            }
+        if cur.sweep_variants > 0 && cur.drc_violations > 0 {
+            report.failures.push(format!(
+                "{}: sweep produced {} DRC violations",
+                cur.name, cur.drc_violations
+            ));
         }
         match baseline.iter().find(|b| b.name == cur.name) {
             None => report
@@ -771,21 +707,7 @@ mod tests {
             fallback_recoveries: 0,
             requests_per_sec: 0.0,
             sweep_variants: 0,
-            cold_wall_ms: 0.0,
-            cold_simplex_iterations: 0,
         }
-    }
-
-    /// A healthy sweep record: 8 variants, 2x faster than cold, fewer
-    /// pivots, all exact and DRC-clean.
-    fn sweep(name: &str, wall_ms: f64, cold_wall_ms: f64) -> FlowRecord {
-        let mut record = flow(name, wall_ms, 24);
-        record.strips = 24;
-        record.sweep_variants = 8;
-        record.cold_wall_ms = cold_wall_ms;
-        record.simplex_iterations = 9_000;
-        record.cold_simplex_iterations = 20_000;
-        record
     }
 
     #[test]
@@ -840,45 +762,21 @@ mod tests {
         );
     }
 
-    /// Sweep records round-trip their fields, and the gate enforces the
-    /// fast path: sweep < cold in wall time and pivots.
+    /// Sweep records round-trip their variant count, and a DRC violation
+    /// in any variant fails the gate.
     #[test]
-    fn flow_gate_enforces_sweep_beats_cold() {
-        let record = sweep("tiny sweep x8", 10_000.0, 24_000.0);
+    fn flow_gate_fails_a_dirty_sweep() {
+        let mut record = flow("tiny sweep x8", 10_000.0, 24);
+        record.strips = 24;
+        record.sweep_variants = 8;
         let text = flow_json(std::slice::from_ref(&record));
         assert!(text.contains("\"sweep_variants\": 8"), "{text}");
-        assert!(text.contains("\"cold_wall_ms\": 24000.0"), "{text}");
         let parsed = parse_flow_json(&text).expect("parse");
         assert_eq!(parsed, vec![record.clone()]);
 
-        // Healthy sweep: passes (no baseline sweep yet — new flow note).
         let report = flow_gate(&[], std::slice::from_ref(&record), 30.0, 2_000.0);
         assert!(report.ok(), "{:?}", report.failures);
 
-        // Sweep slower than cold: fails.
-        let mut slow = record.clone();
-        slow.wall_ms = 25_000.0;
-        let report = flow_gate(std::slice::from_ref(&record), &[slow], 30.0, 2_000.0);
-        assert!(
-            report
-                .failures
-                .iter()
-                .any(|f| f.contains("not faster than")),
-            "{:?}",
-            report.failures
-        );
-
-        // Sweep with at least as many pivots as cold: fails.
-        let mut pivots = record.clone();
-        pivots.simplex_iterations = 20_000;
-        let report = flow_gate(std::slice::from_ref(&record), &[pivots], 30.0, 2_000.0);
-        assert!(
-            report.failures.iter().any(|f| f.contains("pivots")),
-            "{:?}",
-            report.failures
-        );
-
-        // A DRC violation in any variant: fails.
         let mut dirty = record.clone();
         dirty.drc_violations = 1;
         let report = flow_gate(std::slice::from_ref(&record), &[dirty], 30.0, 2_000.0);
@@ -886,41 +784,6 @@ mod tests {
             report.failures.iter().any(|f| f.contains("DRC")),
             "{:?}",
             report.failures
-        );
-    }
-
-    /// The sweep speedup may drift, but losing more than
-    /// `SWEEP_SPEEDUP_REGRESSION_PCT` of it against baseline fails even
-    /// when the absolute wall time is still acceptable.
-    #[test]
-    fn flow_gate_fails_on_sweep_speedup_regression() {
-        // Baseline: 2.4x speedup (24 s cold / 10 s sweep).
-        let baseline = sweep("tiny sweep x8", 10_000.0, 24_000.0);
-        // Current: 1.5x speedup — a 37 % loss, beyond the 30 % budget —
-        // while still comfortably beating cold.
-        let current = sweep("tiny sweep x8", 16_000.0, 24_000.0);
-        let report = flow_gate(
-            std::slice::from_ref(&baseline),
-            &[current],
-            // Generous generic wall threshold so only the sweep rule can
-            // fail here.
-            100.0,
-            2_000.0,
-        );
-        assert!(
-            report.failures.iter().any(|f| f.contains("speedup")),
-            "{:?}",
-            report.failures
-        );
-
-        // A 20 % loss stays within budget and is reported as a note.
-        let current = sweep("tiny sweep x8", 12_500.0, 24_000.0);
-        let report = flow_gate(&[baseline], &[current], 100.0, 2_000.0);
-        assert!(report.ok(), "{:?}", report.failures);
-        assert!(
-            report.notes.iter().any(|n| n.contains("sweep speedup")),
-            "{:?}",
-            report.notes
         );
     }
 

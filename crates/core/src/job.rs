@@ -51,12 +51,11 @@ use crate::pilp::{Pilp, PilpError, PilpPhase, PilpResult, SolverTotals};
 
 /// Shared solving infrastructure for layout jobs: a persistent
 /// [`SolverPool`] plus the cross-request [`FlowCache`] of memoized
-/// solve-site layouts and the structure-keyed [`ModelCache`] of retained
-/// model builds for the parameter-sweep fast path.
+/// solve-site layouts.
 ///
 /// Every job submitted into the same context schedules its
 /// branch-and-bound trees on the same fixed worker set and shares the
-/// same caches.
+/// same cache.
 pub struct JobContext {
     pool: SolverPool,
     cache: Arc<FlowCache>,
@@ -70,7 +69,7 @@ impl JobContext {
         JobContext {
             pool: SolverPool::new(workers),
             cache: Arc::new(FlowCache::default()),
-            models: Arc::new(ModelCache::default()),
+            models: Arc::new(ModelCache::with_capacity(1)),
         }
     }
 
@@ -92,8 +91,8 @@ impl JobContext {
         &self.cache
     }
 
-    /// The shared structure-keyed model cache (parameter-sweep fast
-    /// path).
+    /// An inert cache that nothing in the flow reads or writes; it stays
+    /// only for its counters (see [`ModelCache`]).
     pub fn model_cache(&self) -> &Arc<ModelCache> {
         &self.models
     }
@@ -115,7 +114,6 @@ pub(crate) struct FlowCtl {
     deadline: Option<Instant>,
     pool: SolverPool,
     cache: Option<Arc<FlowCache>>,
-    models: Option<crate::cache::ModelView>,
     /// [`Netlist::fingerprint`] of the job's circuit (cache keying).
     fingerprint: u64,
     progress: Arc<ProgressState>,
@@ -174,12 +172,6 @@ impl FlowCtl {
     /// The shared solve-site cache, if attached.
     pub(crate) fn cache(&self) -> Option<&FlowCache> {
         self.cache.as_deref()
-    }
-
-    /// This flow's deterministic view of the shared structure-keyed
-    /// model cache, if attached.
-    pub(crate) fn model_cache(&self) -> Option<&crate::cache::ModelView> {
-        self.models.as_ref()
     }
 
     /// The netlist fingerprint for cache keying.
@@ -332,7 +324,7 @@ struct RunNames {
 
 /// Runs `netlists` in order on one new thread, each as a full flow under
 /// its own control block and panic boundary, all sharing the context's
-/// pool and, with `use_cache`, its solve-site and model caches. Returns
+/// pool and, with `use_cache`, its solve-site cache. Returns
 /// the run's cancel token and one [`JobHandle`] per netlist, in order.
 ///
 /// `use_cache` is off only for [`Pilp::run`], so that repeated
@@ -357,7 +349,6 @@ fn spawn_flows(
     let thread_cancel = cancel.clone();
     let pool = ctx.pool.clone();
     let cache = use_cache.then(|| Arc::clone(&ctx.cache));
-    let models = use_cache.then(|| Arc::clone(&ctx.models));
     let spawned = std::thread::Builder::new()
         .name(names.thread.into())
         .spawn(move || {
@@ -372,7 +363,6 @@ fn spawn_flows(
                         deadline: pilp.config().deadline.map(|d| Instant::now() + d),
                         pool: pool.clone(),
                         cache: cache.clone(),
-                        models: models.clone().map(crate::cache::ModelView::new),
                         fingerprint: netlist.fingerprint(),
                         progress: Arc::clone(flow),
                         fatal: Slot::default(),
@@ -421,12 +411,8 @@ pub(crate) fn spawn_job(
 ///
 /// A sweep is a run of many netlists: its variants run **sequentially,
 /// in submission order, on one background thread**, sharing the
-/// context's solver pool and caches. Sequential execution is what makes
-/// the sweep fast *and* reproducible: each variant's solves re-enter the
-/// structure-keyed [`ModelCache`] entries its predecessor left warm, and
-/// the cache traversal is identical to submitting the same variants one
-/// at a time — so the layouts are bit-identical to sequential individual
-/// submissions.
+/// context's solver pool and solve-site cache. Each variant is a plain
+/// job, so its layout is bit-identical to submitting it on its own.
 ///
 /// Like [`JobHandle`], the handle is passive: dropping it neither
 /// cancels nor detaches the sweep.
@@ -472,9 +458,8 @@ impl SweepHandle {
     }
 }
 
-/// Spawns a sweep: a run of the variants, sharing the context's pool,
-/// solve-site cache and model cache (that sharing is the sweep fast path
-/// — see [`crate::cache::ModelCache`]).
+/// Spawns a sweep: a run of the variants, sharing the context's pool and
+/// solve-site cache.
 pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) -> SweepHandle {
     let names = RunNames {
         thread: "rfic-sweep",

@@ -373,47 +373,9 @@ impl<'a> LayoutIlp<'a> {
         })
     }
 
-    /// Structure fingerprint of the underlying MILP — constraint pattern
-    /// plus integrality mask, excluding bound/RHS/cost values (see
-    /// [`rfic_milp::Model::structure_fingerprint`]). Two builds of the
-    /// same solve site for different sweep variants (target lengths,
-    /// spacing — anything that only moves values) share this fingerprint;
-    /// variants that change matrix coefficients (the area, through the
-    /// big-M constant) do not.
-    pub fn structure_fingerprint(&self) -> u64 {
-        self.model.structure_fingerprint()
-    }
-
-    /// Builds the LP relaxation of the underlying MILP (the object the
-    /// model-build cache retains per structure fingerprint).
+    /// Builds the LP relaxation of the underlying MILP.
     pub fn relaxation(&self) -> rfic_lp::LinearProgram {
         self.model.relaxation()
-    }
-
-    /// Value-patches a retained relaxation of an equal-structure build so
-    /// it matches this model exactly (see
-    /// [`rfic_milp::Model::patch_relaxation`]). Returns `false` on a
-    /// dimension mismatch, in which case the caller must rebuild.
-    pub fn patch_relaxation(&self, lp: &mut rfic_lp::LinearProgram) -> bool {
-        self.model.patch_relaxation(lp)
-    }
-
-    /// [`LayoutIlp::solve_warm`] against a caller-supplied
-    /// prebuilt (patched) relaxation — the sweep fast path that bypasses
-    /// presolve so the retained basis re-enters with its factorisation
-    /// and DSE weights (see [`rfic_milp::Model::solve_patched_in_pool`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LayoutIlp::solve`].
-    pub fn solve_patched_in_pool(
-        &self,
-        options: &SolveOptions,
-        warm: &mut WarmStart,
-        pool: Option<&rfic_milp::SolverPool>,
-        lp: &rfic_lp::LinearProgram,
-    ) -> Result<IlpOutcome, IlpError> {
-        self.outcome(self.model.solve_patched_in_pool(options, warm, pool, lp))
     }
 
     // --- variables ---------------------------------------------------------
@@ -826,12 +788,7 @@ impl<'a> LayoutIlp<'a> {
         let weights = self.config.weights;
         let nb_max = self.model.add_continuous("nb_max", 0.0, 1e3, weights.alpha);
         // Fixed strips contribute constant bend counts to the max.
-        let mut fixed_max = 0usize;
-        for strip in self.netlist.microstrips() {
-            if !self.config.free_strips.contains(&strip.id) {
-                fixed_max = fixed_max.max(self.base.bend_count(strip.id));
-            }
-        }
+        let fixed_max = fixed_bend_floor(self.netlist, &self.config, &self.base);
         self.model.add_ge(LinExpr::from(nb_max), fixed_max as f64);
         for vars in self.strip_vars.values() {
             let mut nb = LinExpr::new();
@@ -1148,6 +1105,18 @@ impl<'a> LayoutIlp<'a> {
 
         layout
     }
+}
+
+/// The largest bend count among the strips `config` keeps fixed at their
+/// `base` routes: the floor of the model's `n_b,max` term.
+pub(crate) fn fixed_bend_floor(netlist: &Netlist, config: &IlpConfig, base: &Layout) -> usize {
+    netlist
+        .microstrips()
+        .iter()
+        .filter(|strip| !config.free_strips.contains(&strip.id))
+        .map(|strip| base.bend_count(strip.id))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

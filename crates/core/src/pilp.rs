@@ -36,7 +36,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::drc::{self, DrcOptions};
 use crate::layout::{Layout, Placement};
-use crate::model::{IlpConfig, IlpError, IlpWeights, LayoutIlp, ObjectId, PairSpec};
+use crate::model::{
+    fixed_bend_floor, IlpConfig, IlpError, IlpWeights, LayoutIlp, ObjectId, PairSpec,
+};
 use crate::report::LayoutReport;
 
 /// Optional per-phase wall-clock budgets for the individual MILP solves;
@@ -426,12 +428,9 @@ impl Pilp {
     /// [`crate::SweepHandle`].
     ///
     /// The variants run sequentially in submission order on one
-    /// background thread, so every variant's solves re-enter the
-    /// structure-keyed [`crate::ModelCache`] entries the previous variant
-    /// left warm: equal-structure models are value-patched and re-solved
-    /// dually from the retained basis instead of being rebuilt and solved
-    /// cold. The layouts are bit-identical to submitting the same
-    /// variants one at a time.
+    /// background thread, each as a plain job on the shared pool and
+    /// solve-site cache, so the layouts are bit-identical to submitting
+    /// the same variants one at a time.
     ///
     /// # Examples
     ///
@@ -603,7 +602,7 @@ impl Pilp {
                 .insert(strip.id, strip.suggested_chain_points.clamp(3, 6));
 
             match self.solve_with_separation(netlist, config, &base, ctl) {
-                Ok(layout) => base = layout,
+                Ok((layout, _)) => base = layout,
                 Err(e) => {
                     // Fall back to a trivial two-point route between the
                     // junctions so the flow can continue; Phase 3 repairs it.
@@ -679,7 +678,7 @@ impl Pilp {
             config
                 .strip_windows
                 .insert(strip.id, self.strip_window(netlist, &layout, strip.id));
-            if let Ok(updated) = self.solve_with_separation(netlist, config, &layout, ctl) {
+            if let Ok((updated, _)) = self.solve_with_separation(netlist, config, &layout, ctl) {
                 layout = updated;
             }
             // Failures are tolerated here: Phase 3 will retry with more
@@ -822,6 +821,12 @@ impl Pilp {
     /// Re-routes a single strip with chain-point deletion (route
     /// simplification) and insertion (extra chain points) until its exact
     /// length is met. Returns `true` on success.
+    ///
+    /// The soft-length site is solved first. When its round 0 proves an
+    /// objective above [`hard_length_ceiling`], no exact-length route
+    /// exists at this site and the hard attempt is skipped: it could only
+    /// end infeasible. Otherwise the hard attempt runs, and when it fails
+    /// the soft layout is kept if it at least shortens the length error.
     fn refine_strip(
         &self,
         netlist: &Netlist,
@@ -845,32 +850,37 @@ impl Pilp {
         let n = (current_points.max(strip.suggested_chain_points).max(4) + *extra).min(9);
 
         let mut config = IlpConfig::single_strip(strip_id);
-        config.hard_length = true;
+        config.hard_length = false;
         config.weights = self.config.weights;
         config.chain_points.insert(strip_id, n);
         config
             .strip_windows
             .insert(strip_id, self.strip_window(netlist, layout, strip_id));
-        match self.solve_with_separation(netlist, config.clone(), layout, ctl) {
-            Ok(updated) => {
+        let ceiling = hard_length_ceiling(
+            &self.config.weights,
+            n,
+            fixed_bend_floor(netlist, &config, layout),
+        );
+        let soft = self.solve_with_separation(netlist, config.clone(), layout, ctl);
+        let hopeless = matches!(soft, Ok((_, Some(bound))) if bound > ceiling + CEILING_MARGIN);
+        if !hopeless {
+            config.hard_length = true;
+            if let Ok((updated, _)) = self.solve_with_separation(netlist, config, layout, ctl) {
                 *layout = updated;
-                true
-            }
-            Err(_) => {
-                // Hard length failed: fall back to soft so the layout at
-                // least improves; the next iteration will retry hard with an
-                // extra chain point.
-                config.hard_length = false;
-                if let Ok(updated) = self.solve_with_separation(netlist, config, layout, ctl) {
-                    let better = updated.abs_length_error(netlist, strip_id)
-                        < layout.abs_length_error(netlist, strip_id);
-                    if better {
-                        *layout = updated;
-                    }
-                }
-                false
+                return true;
             }
         }
+        // The hard attempt failed or was skipped: keep the soft layout if
+        // it shortens the length error; the next iteration retries with an
+        // extra chain point.
+        if let Ok((updated, _)) = soft {
+            if updated.abs_length_error(netlist, strip_id)
+                < layout.abs_length_error(netlist, strip_id)
+            {
+                *layout = updated;
+            }
+        }
+        false
     }
 
     /// Concurrent placement-and-routing repair: frees one endpoint device of
@@ -923,7 +933,7 @@ impl Pilp {
                     Rect::centered(p.center, 2.0 * self.config.tau_d, 2.0 * self.config.tau_d),
                 );
             }
-            if let Ok(updated) = self.solve_with_separation(netlist, config, layout, ctl) {
+            if let Ok((updated, _)) = self.solve_with_separation(netlist, config, layout, ctl) {
                 let error_sum = |l: &Layout| -> f64 {
                     incident
                         .iter()
@@ -999,6 +1009,9 @@ impl Pilp {
 
     /// Builds one ILP and solves it to overlap-freedom, lazily separating
     /// violated non-overlap pairs up to the configured number of rounds.
+    /// Returns the layout and, when round 0 was solved here (not replayed
+    /// from the cache) to proven optimality, that round's proven lower
+    /// bound on the objective (see [`proven_bound`]).
     ///
     /// The model is built **once**; every separation round appends the new
     /// pairs to the same model ([`LayoutIlp::add_overlap_pairs`]) and
@@ -1027,25 +1040,8 @@ impl Pilp {
         config: IlpConfig,
         base: &Layout,
         ctl: &crate::job::FlowCtl,
-    ) -> Result<Layout, IlpError> {
-        self.solve_with_separation_impl(netlist, config, base, ctl, true)
-    }
-
-    /// The body of [`Pilp::solve_with_separation`], parameterised on
-    /// whether the structure-keyed patched fast path may serve the root
-    /// solve. The quality gate at the bottom re-enters with
-    /// `allow_patched = false` when a patched root produced a layout a
-    /// fresh solve would not have been allowed to return.
-    fn solve_with_separation_impl(
-        &self,
-        netlist: &Netlist,
-        config: IlpConfig,
-        base: &Layout,
-        ctl: &crate::job::FlowCtl,
-        allow_patched: bool,
-    ) -> Result<Layout, IlpError> {
+    ) -> Result<(Layout, Option<f64>), IlpError> {
         let phase = ctl.phase();
-        let retry_config = allow_patched.then(|| config.clone());
         let mut options = self.solve_options(phase);
         options.cancel = Some(ctl.cancel_token().clone());
         let base_limit = options.time_limit;
@@ -1054,38 +1050,19 @@ impl Pilp {
             .map(|_| solve_site_key(ctl.fingerprint(), phase, &config, &self.config, base));
         if let (Some(cache), Some(key)) = (ctl.cache(), site_key) {
             if let Some(layout) = cache.lookup(key) {
-                return Ok(layout);
+                return Ok((layout, None));
             }
         }
         let mut ilp = LayoutIlp::build(netlist, config, base)?;
-        // Structure-keyed model reuse (the parameter-sweep fast path): the
-        // root solve of this site is re-entered from a retained build of
-        // the *same constraint structure* when one exists, value-patched
-        // to this site's bounds/costs/RHS. Only the round-0 model is
-        // retained — separation rounds grow the model, changing its
-        // structure. The fast path is confined to sites the quality gate
-        // below can verify — non-blurred, hard-length solves. A patched
-        // re-solve may land on an *alternate* optimal vertex, and at
-        // blurred or soft-length sites no local check can tell a healthy
-        // alternate optimum from one that derails the downstream phases,
-        // so those sites always take the (deterministic) fresh path.
-        let patchable = !ilp.config().blur_devices && ilp.config().hard_length;
-        let structure_key = if patchable {
-            ctl.model_cache().map(|_| ilp.structure_fingerprint())
-        } else {
-            None
-        };
         let mut warm = rfic_milp::WarmStart::new();
         let mut best: Option<Layout> = None;
+        let mut root_bound = None;
         // A site is memoizable only if it ran to its natural conclusion
         // (no cancellation/deadline abort) and every round was proven
         // optimal — a time-limit incumbent is timing-dependent and would
         // replay a result a cold run might not reproduce.
         let mut aborted = false;
         let mut provable = true;
-        // Whether the root solve was served by the patched fast path —
-        // the quality gate below only fires for those sites.
-        let mut patched_used = false;
         for round in 0..=self.config.max_separation_rounds {
             if ctl.cancel_token().is_cancelled() {
                 aborted = true;
@@ -1099,58 +1076,25 @@ impl Pilp {
                 Some(remaining) => options.time_limit = base_limit.min(remaining),
                 None => options.time_limit = base_limit,
             }
-            let mut patched = None;
-            if round == 0 && allow_patched {
-                if let (Some(models), Some(key)) = (ctl.model_cache(), structure_key) {
-                    patched = solve_patched_root(&ilp, &options, models, key, ctl, &mut warm);
-                }
-            }
-            if patched.is_some() {
-                patched_used = true;
-            }
-            let outcome = match patched {
-                Some(outcome) => outcome,
-                None => {
-                    let outcome = match solve_with_fallback(&ilp, &options, &mut warm, ctl) {
-                        Ok(outcome) => outcome,
-                        Err(e) => {
-                            // Per-strip solve failures are tolerated by
-                            // the phase loops by design — but a contained
-                            // panic or a dead pool is a *flow* fault, not
-                            // a numerical dead end. Record it on the
-                            // control block so the next phase checkpoint
-                            // aborts the whole job with the real error.
-                            if let Some(fatal) = fatal_flow_error(&e) {
-                                ctl.record_fatal(fatal);
-                            }
-                            return Err(e);
-                        }
-                    };
-                    if round == 0 && allow_patched {
-                        if let (Some(models), Some(key)) = (ctl.model_cache(), structure_key) {
-                            // Retain this site's build for equal-structure
-                            // variants: the relaxation (built once here) plus
-                            // the root basis the solve returned. The basis is
-                            // the presolve projection — statuses only — so
-                            // the first patched re-solve pays one
-                            // refactorisation before going fully live.
-                            if outcome.solution.status == rfic_milp::SolveStatus::Optimal {
-                                models.store(
-                                    key,
-                                    crate::cache::ModelEntry {
-                                        lp: ilp.relaxation(),
-                                        basis: warm.basis().cloned(),
-                                    },
-                                );
-                            }
-                        }
+            let outcome = match solve_with_fallback(&ilp, &options, &mut warm, ctl) {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    // Per-strip solve failures are tolerated by the phase
+                    // loops by design — but a contained panic or a dead
+                    // pool is a *flow* fault, not a numerical dead end.
+                    // Record it on the control block so the next phase
+                    // checkpoint aborts the whole job with the real error.
+                    if let Some(fatal) = fatal_flow_error(&e) {
+                        ctl.record_fatal(fatal);
                     }
-                    outcome
+                    return Err(e);
                 }
             };
             ctl.record_solve(&outcome.solution);
             if outcome.solution.status != rfic_milp::SolveStatus::Optimal {
                 provable = false;
+            } else if round == 0 {
+                root_bound = Some(proven_bound(&outcome.solution, options.mip_gap));
             }
             let new_pairs = violating_pairs(netlist, &outcome.layout, ilp.config());
             best = Some(outcome.layout);
@@ -1161,108 +1105,45 @@ impl Pilp {
                 break; // nothing new to add; accept the solution
             }
         }
-        // Quality gate of the patched fast path: a retained-model re-solve
-        // may deterministically land on an *alternate* optimal vertex the
-        // fresh path would not have produced — ILP-optimal, yet leaving a
-        // length error or a DRC violation the downstream refinement then
-        // has to burn iterations on. Such a site is redone once on the
-        // standard fresh-build path (and the retained entry dropped), so
-        // the fast path can never degrade layout quality — only cost at
-        // most one extra site solve when it guessed wrong.
-        // `patched_used` implies a patchable (non-blurred, hard-length)
-        // site — the only kind the fast path serves.
-        if patched_used && !aborted {
-            if let Some(layout) = &best {
-                if !self.patched_site_acceptable(netlist, layout, &ilp.config().free_strips) {
-                    if let (Some(models), Some(key)) = (ctl.model_cache(), structure_key) {
-                        models.invalidate(key);
-                    }
-                    if let Some(config) = retry_config {
-                        return self.solve_with_separation_impl(netlist, config, base, ctl, false);
-                    }
-                }
-            }
-        }
         if !aborted && provable {
             if let (Some(cache), Some(key), Some(layout)) = (ctl.cache(), site_key, &best) {
                 cache.store(key, layout.clone());
             }
         }
-        best.ok_or(IlpError::Solver(rfic_milp::MilpError::LimitReached))
-    }
-
-    /// Whether a layout returned by a patched-root site meets the same
-    /// acceptance a fresh solve feeds the refinement loop: every strip
-    /// the site solved sits within the length tolerance and is free of
-    /// DRC violations. Only non-blurred hard-length sites ever take the
-    /// patched path, so the check is always meaningful — blurred or
-    /// soft-length lengths are inexact by design and would reject
-    /// perfectly healthy intermediate layouts.
-    fn patched_site_acceptable(
-        &self,
-        netlist: &Netlist,
-        layout: &Layout,
-        free_strips: &std::collections::BTreeSet<rfic_netlist::MicrostripId>,
-    ) -> bool {
-        let drc = drc::check(netlist, layout, &DrcOptions::default());
-        free_strips.iter().all(|&id| {
-            layout.abs_length_error(netlist, id) <= drc::LENGTH_TOLERANCE_UM
-                && drc.for_strip(id).is_empty()
-        })
+        best.map(|layout| (layout, root_bound))
+            .ok_or(IlpError::Solver(rfic_milp::MilpError::LimitReached))
     }
 }
 
-/// Attempts the structure-keyed patched root re-solve: look up a retained
-/// build of this model's structure, value-patch it to this site's
-/// bounds/costs/RHS and re-solve dually from the retained basis with
-/// presolve bypassed (the patched values make re-running bound tightening
-/// unsound against the retained basis, and the bypass is what keeps the
-/// factorisation and DSE weights adoptable).
+/// Margin by which a soft site's proven bound must clear
+/// [`hard_length_ceiling`] before the hard attempt is skipped. It absorbs
+/// the solver's feasibility tolerances on the length rows; the bounds
+/// that skip in practice clear the ceiling by tens to hundreds.
+const CEILING_MARGIN: f64 = 1.0;
+
+/// The most any exact-length route can score at a single-strip site with
+/// `n` chain points, where `fixed_bends` is the largest bend count among
+/// the strips the site keeps fixed ([`fixed_bend_floor`]).
 ///
-/// Returns `None` — leaving `warm` untouched — whenever the fast path
-/// cannot serve the solve: no retained build, a dimension mismatch under
-/// a fingerprint collision, or a patched re-solve that errors or stops
-/// short of proven optimality. Every `None` invalidates the entry and
-/// deterministically falls back to the standard fresh-build path, so an
-/// unhealthy cache can cost at most one extra solve per site.
-///
-/// On success the patched build and its now-live root basis
-/// (factorisation + dual steepest-edge weights) are stored back, and
-/// `warm` carries the live basis into the separation rounds.
-fn solve_patched_root(
-    ilp: &LayoutIlp,
-    options: &SolveOptions,
-    models: &crate::cache::ModelView,
-    key: u64,
-    ctl: &crate::job::FlowCtl,
-    warm: &mut rfic_milp::WarmStart,
-) -> Option<crate::model::IlpOutcome> {
-    let mut entry = models.lookup(key)?;
-    if !ilp.patch_relaxation(&mut entry.lp) {
-        models.invalidate(key);
-        return None;
-    }
-    let mut patched_warm = match entry.basis.take() {
-        Some(basis) => rfic_milp::WarmStart::from_basis(basis),
-        None => rfic_milp::WarmStart::new(),
-    };
-    match ilp.solve_patched_in_pool(options, &mut patched_warm, Some(ctl.pool()), &entry.lp) {
-        Ok(outcome) if outcome.solution.status == rfic_milp::SolveStatus::Optimal => {
-            models.store(
-                key,
-                crate::cache::ModelEntry {
-                    lp: entry.lp,
-                    basis: patched_warm.basis().cloned(),
-                },
-            );
-            *warm = patched_warm;
-            Some(outcome)
-        }
-        _ => {
-            models.invalidate(key);
-            None
-        }
-    }
+/// The hard and soft models differ only in their length rows, so an
+/// exact-length route is soft-feasible with zero length deviation, and
+/// then only the bend terms score: `α·n_b,max + β·n_b` with
+/// `n_b ≤ n − 2` bends and `n_b,max = max(n_b, fixed_bends)`. A soft
+/// optimum proven above this ceiling therefore shows that no exact-length
+/// route exists. With non-negative weights the maximum is
+/// `α·max(n − 2, fixed_bends) + β·(n − 2)`.
+fn hard_length_ceiling(weights: &IlpWeights, n: usize, fixed_bends: usize) -> f64 {
+    (0..=n.saturating_sub(2))
+        .map(|bends| weights.alpha * bends.max(fixed_bends) as f64 + weights.beta * bends as f64)
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// The lower bound a proven-optimal solve certifies on its model's
+/// objective (minimisation). The search prunes subtrees within `mip_gap`
+/// of the incumbent without reporting them in [`rfic_milp::MilpSolution::gap`],
+/// so the larger of the two gaps applies.
+fn proven_bound(solution: &rfic_milp::MilpSolution, mip_gap: f64) -> f64 {
+    solution.objective - solution.gap.max(mip_gap) * solution.objective.abs().max(1.0)
 }
 
 /// Runs one separation-round solve, retrying a *numerically*-failed solve
@@ -1702,14 +1583,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn violating_pairs_report_overlaps_involving_free_objects() {
-        let circuit = benchmarks::tiny_circuit();
-        let netlist = &circuit.netlist;
-        // Base layout: witness, but squash two unrelated strips together by
-        // translating one route on top of another.
-        let mut layout = Layout {
-            area: netlist.area(),
+    /// The witness layout of a generated circuit.
+    fn witness_layout(circuit: &rfic_netlist::generator::GeneratedCircuit) -> Layout {
+        Layout {
+            area: circuit.netlist.area(),
             placements: circuit
                 .witness
                 .placements
@@ -1725,7 +1602,113 @@ mod tests {
                 })
                 .collect(),
             routes: circuit.witness.routes.clone(),
+        }
+    }
+
+    /// Solves the soft and the hard round-0 site of `strip` with `n` chain
+    /// points against `base`, as phase 3 does: returns the soft site's
+    /// proven bound, the site's [`hard_length_ceiling`] and whether the
+    /// hard site found an exact-length route.
+    fn certificate_at(
+        netlist: &Netlist,
+        base: &Layout,
+        strip: MicrostripId,
+        n: usize,
+    ) -> (f64, f64, bool) {
+        let options = Pilp::new(PilpConfig::fast()).solve_options(PilpPhase::Refinement);
+        let mut config = IlpConfig::single_strip(strip);
+        config.hard_length = false;
+        config.chain_points.insert(strip, n);
+        let soft = LayoutIlp::build(netlist, config.clone(), base)
+            .expect("build soft site")
+            .solve(&options)
+            .expect("the soft site always has a route");
+        assert_eq!(soft.solution.status, rfic_milp::SolveStatus::Optimal);
+        let bound = proven_bound(&soft.solution, options.mip_gap);
+        let ceiling =
+            hard_length_ceiling(&config.weights, n, fixed_bend_floor(netlist, &config, base));
+        config.hard_length = true;
+        let hard = LayoutIlp::build(netlist, config, base)
+            .expect("build hard site")
+            .solve(&options);
+        (bound, ceiling, hard.is_ok())
+    }
+
+    #[test]
+    fn hard_length_ceiling_takes_the_fixed_bend_floor() {
+        let circuit = benchmarks::tiny_circuit();
+        let netlist = &circuit.netlist;
+        let strips: Vec<MicrostripId> = netlist.microstrips().iter().map(|m| m.id).collect();
+        // A fixed strip with five bends, more than the n − 2 = 2 a free
+        // strip with four chain points can have.
+        let mut layout = witness_layout(&circuit);
+        let staircase = (0..7)
+            .map(|i| Point::new(10.0 * ((i + 1) / 2) as f64, 10.0 * (i / 2) as f64))
+            .collect();
+        layout.routes.insert(
+            strips[1],
+            rfic_geom::Polyline::new(staircase).expect("route"),
+        );
+        assert_eq!(layout.bend_count(strips[1]), 5);
+        let config = IlpConfig::single_strip(strips[0]);
+        let floor = fixed_bend_floor(netlist, &config, &layout);
+        assert_eq!(floor, 5);
+
+        let w = IlpWeights::default();
+        let ceiling = hard_length_ceiling(&w, 4, floor);
+        assert!((ceiling - (w.alpha * 5.0 + w.beta * 2.0)).abs() < 1e-12);
+        // Without the floor the free strip's own bends set the maximum.
+        let ceiling = hard_length_ceiling(&w, 4, 0);
+        assert!((ceiling - (w.alpha + w.beta) * 2.0).abs() < 1e-12);
+        // A negative bend weight makes the straight route the worst one.
+        let rewarded = IlpWeights {
+            alpha: 0.0,
+            beta: -1.0,
+            ..w
         };
+        assert_eq!(hard_length_ceiling(&rewarded, 4, 0), 0.0);
+    }
+
+    #[test]
+    fn soft_bound_above_the_ceiling_proves_the_hard_site_infeasible() {
+        let circuit = benchmarks::tiny_circuit();
+        let base = witness_layout(&circuit);
+        let strip = circuit.netlist.microstrips()[0].clone();
+        let pin = |t: rfic_netlist::Terminal| {
+            base.pin_position(&circuit.netlist, t.device, t.pin)
+                .expect("placed pin")
+        };
+        let (a, b) = (pin(strip.start), pin(strip.end));
+        let manhattan = (a.x - b.x).abs() + (a.y - b.y).abs();
+        // Half the pin-to-pin distance: no route can be that short.
+        let netlist = circuit
+            .netlist
+            .with_target_scale(0.5 * manhattan / strip.target_length);
+        let (bound, ceiling, hard_found) = certificate_at(&netlist, &base, strip.id, 6);
+        assert!(
+            bound > ceiling + CEILING_MARGIN,
+            "bound {bound} must clear ceiling {ceiling}"
+        );
+        assert!(!hard_found, "the hard site must be infeasible");
+    }
+
+    #[test]
+    fn reachable_target_keeps_the_soft_bound_under_the_ceiling() {
+        let circuit = benchmarks::tiny_circuit();
+        let base = witness_layout(&circuit);
+        let strip = circuit.netlist.microstrips()[0].id;
+        let (bound, ceiling, hard_found) = certificate_at(&circuit.netlist, &base, strip, 6);
+        assert!(hard_found, "the witness target is reachable");
+        assert!(bound <= ceiling, "bound {bound} above ceiling {ceiling}");
+    }
+
+    #[test]
+    fn violating_pairs_report_overlaps_involving_free_objects() {
+        let circuit = benchmarks::tiny_circuit();
+        let netlist = &circuit.netlist;
+        // Base layout: witness, but squash two unrelated strips together by
+        // translating one route on top of another.
+        let mut layout = witness_layout(&circuit);
         let strips: Vec<_> = netlist.microstrips().to_vec();
         // Find two strips that do not share a device.
         let mut pair = None;

@@ -1,12 +1,13 @@
 //! End-to-end contracts of the layout-job API: cancellation releases the
 //! shared pool, identical requests replay from the solve-site cache, and
-//! a job solves to the same layout whether it runs alone or next to
-//! another job.
+//! a job solves to the same layout whether it runs alone, next to
+//! another job or after other jobs on the same context.
 
 use std::time::{Duration, Instant};
 
-use rfic_core::{JobContext, Pilp, PilpConfig, PilpError};
-use rfic_netlist::benchmarks;
+use rfic_core::{render, JobContext, Pilp, PilpConfig, PilpError};
+use rfic_netlist::json::Json;
+use rfic_netlist::{benchmarks, wire, Netlist};
 
 /// Cancellation mid-phase surfaces as [`PilpError::Cancelled`] and the
 /// pool workers the job occupied become available again: a follow-up job
@@ -83,10 +84,8 @@ fn identical_jobs_reuse_the_solve_site_cache() {
     ctx.shutdown();
 }
 
-/// The sweep fast path must not change results: an 8-variant sweep
-/// yields layouts bit-identical to the same variants submitted one at a
-/// time on a fresh context — and actually exercises the structure-keyed
-/// model cache along the way.
+/// A sweep is its jobs: an 8-variant sweep yields layouts bit-identical
+/// to the same variants submitted one at a time on a fresh context.
 #[test]
 fn sweep_matches_sequential_individual_submissions() {
     let circuit = benchmarks::tiny_circuit();
@@ -113,10 +112,6 @@ fn sweep_matches_sequential_individual_submissions() {
     let sweep = pilp.submit_sweep_in(&variants, &ctx);
     let results = sweep.wait();
     assert_eq!(sweep.completed(), 8);
-    assert!(
-        ctx.model_cache().hits() > 0,
-        "equal-structure variants must re-enter retained model builds"
-    );
     ctx.shutdown();
 
     assert_eq!(results.len(), sequential.len());
@@ -166,4 +161,60 @@ fn job_layout_is_invariant_under_concurrent_neighbours() {
     );
     assert_eq!(alone.solver.solves, alongside.solver.solves);
     assert!(neighbour_result.layout.is_complete(&neighbour));
+}
+
+/// `netlist` under another circuit name: the same structure with a new
+/// fingerprint, so no solve site of one can hit the other's cache entry.
+fn renamed(netlist: &Netlist, name: &str) -> Netlist {
+    let mut doc = wire::to_json(netlist);
+    if let Json::Object(map) = &mut doc {
+        map.insert("name".to_owned(), Json::String(name.to_owned()));
+    }
+    wire::parse_netlist(&doc).expect("renamed netlist parses")
+}
+
+/// A job's layout does not depend on the jobs that ran before it on the
+/// same context: the tiny circuit under a second name (the solve-site
+/// cache cannot hit) lays out exactly as under the first name and as on a
+/// fresh context, down to the rendered SVG.
+#[test]
+fn job_layout_is_independent_of_earlier_jobs() {
+    let circuit = benchmarks::tiny_circuit();
+    let first_name = renamed(&circuit.netlist, "tiny-first");
+    let second_name = renamed(&circuit.netlist, "tiny-second");
+    assert_ne!(first_name.fingerprint(), second_name.fingerprint());
+    let pilp = Pilp::new(PilpConfig::fast());
+
+    let ctx = JobContext::new(2);
+    let first = pilp.submit_in(&first_name, &ctx).wait().expect("first job");
+    let hits_before = ctx.cache().hits();
+    let second = pilp
+        .submit_in(&second_name, &ctx)
+        .wait()
+        .expect("second job");
+    assert_eq!(
+        ctx.cache().hits(),
+        hits_before,
+        "a new fingerprint must not hit the solve-site cache"
+    );
+    ctx.shutdown();
+
+    let fresh = {
+        let ctx = JobContext::new(2);
+        let result = pilp
+            .submit_in(&second_name, &ctx)
+            .wait()
+            .expect("job on a fresh context");
+        ctx.shutdown();
+        result
+    };
+
+    assert_eq!(second.layout, first.layout, "same structure, same layout");
+    assert_eq!(
+        second.layout, fresh.layout,
+        "earlier jobs on the context must not change a job's layout"
+    );
+    let svg = render::svg(&second_name, &second.layout);
+    assert_eq!(svg, render::svg(&first_name, &first.layout));
+    assert_eq!(svg, render::svg(&second_name, &fresh.layout));
 }

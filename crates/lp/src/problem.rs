@@ -355,66 +355,6 @@ impl LinearProgram {
         self.constraints.push(Constraint { coeffs, op, rhs });
     }
 
-    /// Replaces the bounds of one variable as a **value patch**: the
-    /// constraint matrix is untouched, so neither the memoised
-    /// `MatrixCache` (and its fingerprint) nor any [`Basis`]
-    /// factorisation keyed on that fingerprint is invalidated. A basis
-    /// captured from a previous solve of this program re-enters *live* —
-    /// factorisation and dual steepest-edge weights included — and the
-    /// patched model re-solves dually in a handful of pivots.
-    ///
-    /// This is the contract the parameter-sweep fast path relies on:
-    /// value edits (`patch_bounds` / [`LinearProgram::patch_costs`] /
-    /// [`LinearProgram::patch_rhs`]) preserve the cache, structural edits
-    /// ([`LinearProgram::add_var`] / [`LinearProgram::add_constraint`])
-    /// still reset it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is out of range.
-    pub fn patch_bounds(&mut self, var: usize, lower: f64, upper: f64) {
-        self.lower[var] = lower;
-        self.upper[var] = upper;
-    }
-
-    /// Replaces objective coefficients as a value patch (see
-    /// [`LinearProgram::patch_bounds`] for the invalidation contract).
-    /// Entries not listed keep their current coefficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any variable index is out of range.
-    pub fn patch_costs(&mut self, coeffs: &[(usize, f64)]) {
-        self.structure_valid = std::sync::OnceLock::new();
-        for &(var, coeff) in coeffs {
-            self.objective[var] = coeff;
-        }
-    }
-
-    /// Replaces the right-hand side of one constraint as a value patch
-    /// (see [`LinearProgram::patch_bounds`] for the invalidation
-    /// contract). The coefficient list and operator are untouched, so the
-    /// matrix fingerprint — which deliberately excludes RHS values — stays
-    /// valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn patch_rhs(&mut self, row: usize, rhs: f64) {
-        self.structure_valid = std::sync::OnceLock::new();
-        self.constraints[row].rhs = rhs;
-    }
-
-    /// The fingerprint of the memoised constraint-matrix view. Value
-    /// patches ([`Self::patch_bounds`] and friends) leave it unchanged;
-    /// structural edits ([`Self::add_var`], [`Self::add_constraint`])
-    /// reset it. Retained bases and factorisations are adoptable exactly
-    /// when fingerprints match, so this is the observable invalidation
-    /// contract of the patch API.
-    pub fn matrix_fingerprint(&self) -> u64 {
-        self.matrix_cache().fingerprint
-    }
-
     /// The memoised CSC view of the constraint matrix with its fingerprint,
     /// built on first use and shared by every subsequent solve of this
     /// model (and its bound-mutated clones, which is what branch-and-bound
@@ -700,10 +640,8 @@ mod tests {
         };
         // Every edit of the remembered structure resets the memo; a bound
         // edit is checked on every solve anyway.
-        let edits: [fn(&mut LinearProgram); 6] = [
+        let edits: [fn(&mut LinearProgram); 4] = [
             |lp| lp.set_objective_coeff(0, f64::NAN),
-            |lp| lp.patch_costs(&[(1, f64::INFINITY)]),
-            |lp| lp.patch_rhs(0, f64::NAN),
             |lp| lp.add_constraint(vec![(5, 1.0)], ConstraintOp::Le, 1.0),
             |lp| {
                 let v = lp.add_var();

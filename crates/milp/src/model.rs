@@ -277,75 +277,6 @@ impl Model {
         lp
     }
 
-    /// FNV-1a fingerprint of the model's **structure**: optimisation
-    /// sense, variable count, the integrality mask and every constraint's
-    /// operator and sparse coefficient pattern. Variable bounds, objective
-    /// coefficients and right-hand sides are deliberately **excluded** —
-    /// two models with equal structure fingerprints differ only by values
-    /// that [`LinearProgram::patch_bounds`] /
-    /// [`LinearProgram::patch_costs`] / [`LinearProgram::patch_rhs`] can
-    /// rewrite in place, which is what makes a built relaxation (and the
-    /// factorised basis of its last solve) reusable across a parameter
-    /// sweep.
-    pub fn structure_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        mix(match self.sense {
-            Sense::Minimize => 1,
-            Sense::Maximize => 2,
-        });
-        mix(self.vars.len() as u64);
-        for v in &self.vars {
-            mix(match v.kind {
-                VarKind::Continuous => 0,
-                VarKind::Binary => 1,
-                VarKind::Integer => 2,
-            });
-        }
-        mix(self.constraints.len() as u64);
-        for c in &self.constraints {
-            mix(match c.op {
-                ConstraintOp::Le => 1,
-                ConstraintOp::Ge => 2,
-                ConstraintOp::Eq => 3,
-            });
-            for (var, coeff) in c.expr.terms() {
-                mix(var.0 as u64);
-                mix(coeff.to_bits());
-            }
-        }
-        h
-    }
-
-    /// Rewrites `lp` — a relaxation previously built by
-    /// [`Model::relaxation`] from a model with the same
-    /// [`Model::structure_fingerprint`] — so it is value-for-value
-    /// identical to `self.relaxation()`, using only the cache-preserving
-    /// patch API: every variable's bounds and objective coefficient and
-    /// every constraint's right-hand side are overwritten in place. The
-    /// constraint matrix (equal by fingerprint) is untouched, so the
-    /// matrix cache and any factorised [`rfic_lp::Basis`] keyed on it stay
-    /// live.
-    ///
-    /// Returns `false` (leaving `lp` unspecified between patches) when the
-    /// dimensions do not match — the caller must rebuild instead.
-    pub fn patch_relaxation(&self, lp: &mut LinearProgram) -> bool {
-        if lp.num_vars() != self.vars.len() || lp.num_constraints() != self.constraints.len() {
-            return false;
-        }
-        for (i, v) in self.vars.iter().enumerate() {
-            lp.patch_bounds(i, v.lower, v.upper);
-            lp.patch_costs(&[(i, v.objective)]);
-        }
-        for (row, c) in self.constraints.iter().enumerate() {
-            lp.patch_rhs(row, c.rhs);
-        }
-        true
-    }
-
     /// Solves the model by branch and bound.
     ///
     /// # Errors
@@ -353,7 +284,7 @@ impl Model {
     /// See [`MilpError`]: infeasible or unbounded models are reported, as is
     /// hitting a limit before any integer-feasible solution was found.
     pub fn solve(&self, options: &SolveOptions) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound(self, options, None, None, None)
+        solve::branch_and_bound(self, options, None, None)
     }
 
     /// Solves the model by branch and bound, reusing and updating the
@@ -383,37 +314,7 @@ impl Model {
         warm: &mut WarmStart,
         pool: Option<&crate::SolverPool>,
     ) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound(self, options, Some(warm), pool, None)
-    }
-
-    /// [`Model::solve_warm`] against a caller-supplied **prebuilt
-    /// relaxation** — the parameter-sweep fast path. `lp` must be a
-    /// relaxation of a model with this model's
-    /// [`Model::structure_fingerprint`], already value-patched via
-    /// [`Model::patch_relaxation`]. The solve **bypasses presolve**
-    /// entirely (the root runs on `lp` itself through an identity
-    /// postsolve): re-running the reduction stack would re-derive the
-    /// column maps from the patched bounds and demote the retained basis
-    /// to the dead `from_mapping` form — exactly the re-pricing cost the
-    /// fast path exists to avoid. Because the postsolve is the identity,
-    /// the root basis stored back into `warm` keeps its factorisation and
-    /// dual steepest-edge weights, so the *next* patched re-solve of the
-    /// same structure re-enters fully live.
-    ///
-    /// `pool` schedules the tree search on a shared [`crate::SolverPool`]
-    /// (`None` searches on the calling thread).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::solve`].
-    pub fn solve_patched_in_pool(
-        &self,
-        options: &SolveOptions,
-        warm: &mut WarmStart,
-        pool: Option<&crate::SolverPool>,
-        lp: &LinearProgram,
-    ) -> Result<MilpSolution, MilpError> {
-        solve::branch_and_bound(self, options, Some(warm), pool, Some(lp))
+        solve::branch_and_bound(self, options, Some(warm), pool)
     }
 }
 

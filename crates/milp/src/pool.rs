@@ -5,8 +5,8 @@
 //! `SolveOptions::threads` scoped workers per call, so N concurrent MILP
 //! solves cost N×threads OS threads all contending for the same cores.
 //! A [`SolverPool`] inverts that: a fixed set of workers is spawned once,
-//! and every tree registered through [`Model::solve_warm`] (or
-//! [`Model::solve_patched_in_pool`]) with `Some(pool)` exposes up to
+//! and every tree registered through [`Model::solve_warm`] with
+//! `Some(pool)` exposes up to
 //! `SolveOptions::threads` **slots** that idle pool workers attach to.
 //!
 //! **Scheduling order.** Trees are served strictly in registration (FIFO)

@@ -1405,17 +1405,12 @@ fn make_children(
 /// returned objective is the same either way.
 ///
 /// `warm` seeds the root from (and receives) the full-space root basis;
-/// `None` and an empty [`WarmStart`] both solve cold. A `prebuilt`
-/// relaxation bypasses presolve (identity postsolve over `lp` itself), so
-/// the root re-enters from — and stores back — a **live** full-space
-/// basis whose factorisation and DSE weights survive; see
-/// [`Model::solve_patched_in_pool`] for the contract.
+/// `None` and an empty [`WarmStart`] both solve cold.
 pub(crate) fn branch_and_bound(
     model: &Model,
     options: &SolveOptions,
     warm: Option<&mut WarmStart>,
     worker_pool: Option<&crate::pool::SolverPool>,
-    prebuilt: Option<&LinearProgram>,
 ) -> Result<MilpSolution, MilpError> {
     let start = Instant::now();
     let sense_sign = match model.sense() {
@@ -1433,18 +1428,10 @@ pub(crate) fn branch_and_bound(
     // every subtree. Integer columns keep unit scale factors and are never
     // substituted away, so branching and cut separation stay exact.
     let full_is_integer: Vec<bool> = model.vars.iter().map(|v| v.kind.is_integer()).collect();
-    // A prebuilt (patched) relaxation skips the reduction stack entirely:
-    // the `off()` pass is the identity transform, returning a clone of
-    // `lp` that still shares its matrix cache, so the retained basis of
-    // the previous solve of this structure re-enters with factorisation
-    // and DSE weights intact.
-    let presolve_result = match prebuilt {
-        Some(lp) => lp.presolve(&PresolveConfig::off(), Some(&full_is_integer)),
-        None => model
-            .relaxation()
-            .presolve(&options.presolve, Some(&full_is_integer)),
-    };
-    let presolved = match presolve_result {
+    let presolved = match model
+        .relaxation()
+        .presolve(&options.presolve, Some(&full_is_integer))
+    {
         Ok(p) => p,
         Err(LpError::Infeasible) => return Err(MilpError::Infeasible),
         Err(LpError::Unbounded) => return Err(MilpError::Unbounded),

@@ -558,9 +558,8 @@ fn sweep_variant_payload(index: usize, outcome: &Result<PilpResult, PilpError>) 
 }
 
 /// Runs a `sweep` request to completion: the variants are laid out
-/// sequentially in request order on the shared context (that ordering is
-/// the structure-reuse fast path — see [`rfic_layout::core::ModelCache`])
-/// and the response carries one entry per variant, in order.
+/// sequentially in request order on the shared context, and the response
+/// carries one entry per variant, in order.
 fn handle_sweep(request: &Json, ctx: &JobContext) -> Json {
     let base = match requested_netlist("sweep", request) {
         Ok(netlist) => netlist,
