@@ -419,39 +419,6 @@ fn bench_milp_cuts(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_milp_tree_cuts(c: &mut Criterion) {
-    // Tree-wide branch-and-cut vs root-only cuts (single thread, so the
-    // node counts are deterministic): non-root separation with per-node
-    // cut pools is judged by exactly this head-to-head. The 0xBEEF
-    // instance needs four-digit node counts root-only; tree cuts collapse
-    // it by well over an order of magnitude.
-    let mut group = c.benchmark_group("milp_tree_cuts");
-    let model = instances::seeded_knapsack(30, 0xBEEF);
-    let root_only = SolveOptions::default();
-    let tree = SolveOptions::default().with_tree_cuts(1);
-    let root_ref = model.solve(&root_only).expect("root-only");
-    let tree_ref = model.solve(&tree).expect("tree cuts");
-    assert!(
-        (root_ref.objective - tree_ref.objective).abs() < 1e-6,
-        "tree cuts must not change the optimum"
-    );
-    println!(
-        "bench-info: milp_tree_cuts/knapsack_30: {} vs {} nodes ({} tree cuts, pivots {} vs {})",
-        tree_ref.nodes,
-        root_ref.nodes,
-        tree_ref.tree_cuts,
-        tree_ref.simplex_iterations,
-        root_ref.simplex_iterations
-    );
-    group.bench_function("knapsack_30_tree", |b| {
-        b.iter(|| model.solve(&tree).expect("solvable"));
-    });
-    group.bench_function("knapsack_30_root_only", |b| {
-        b.iter(|| model.solve(&root_only).expect("solvable"));
-    });
-    group.finish();
-}
-
 fn bench_milp_dual_pricing(c: &mut Criterion) {
     // Warm branch-and-bound under the pinned Dantzig dual vs dual
     // steepest-edge: every node re-solve enters through the dual engine,
@@ -587,7 +554,6 @@ criterion_group!(
     bench_milp,
     bench_milp_parallel,
     bench_milp_cuts,
-    bench_milp_tree_cuts,
     bench_milp_warm_vs_cold,
     bench_milp_dual_pricing,
     bench_strip_ilp

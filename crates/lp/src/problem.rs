@@ -535,7 +535,9 @@ impl LinearProgram {
 
     /// Extracts the simplex tableau rows of the given *basic structural*
     /// variables under `basis` (typically the optimal basis returned by
-    /// [`LinearProgram::solve_warm`] on this very model).
+    /// [`LinearProgram::solve_warm`] on this very model; a basis taken
+    /// before rows or variables were appended is reconciled like a warm
+    /// start).
     ///
     /// This is the raw material for cutting planes: a Gomory cut is a
     /// rounding argument applied to one tableau row of a fractional basic

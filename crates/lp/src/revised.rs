@@ -519,8 +519,8 @@ impl<'a> Solver<'a> {
             old_n == self.n && old_m == self.m && warm.matrix_fingerprint == self.cache.fingerprint;
         // Row extension: same columns, rows appended (constraints are
         // append-only, so an old basis with fewer rows describes a prefix
-        // of this model — the lazy-separation and branch-and-cut
-        // protocols). The old weights stay aligned with the remapped
+        // of this model — lazy constraint separation and root cut
+        // rounds). The old weights stay aligned with the remapped
         // `basic` prefix and the appended rows enter with their logical
         // variable basic at the exact unit weight `‖B⁻ᵀe‖² = 1` of a
         // fresh logical row. The framework is an approximation either way
@@ -1602,9 +1602,9 @@ impl<'a> Solver<'a> {
 }
 
 /// Extracts simplex tableau rows for the given *basic structural* variables
-/// under `basis` (which must belong to exactly this model — same variable
-/// and constraint counts). Requested variables that are not basic are
-/// skipped silently.
+/// under `basis`, taken on this model or on a smaller one that this model
+/// extends by appended rows or variables. Requested variables that are not
+/// basic are skipped silently.
 pub(crate) fn tableau_rows(
     lp: &LinearProgram,
     basis: &Basis,
@@ -1617,7 +1617,7 @@ pub(crate) fn tableau_rows(
     }
     let mut solver = Solver::new(lp, Some(basis))?;
     // A basis from a *smaller* model (rows/variables appended since it was
-    // taken — the branch-and-cut incremental-row path) is reconciled by
+    // taken, as in lazy constraint separation) is reconciled by
     // `Solver::new` exactly like a warm start: appended rows enter with
     // their logical variable basic, which is itself a valid basis of the
     // grown model and yields a meaningful tableau. What must be rejected

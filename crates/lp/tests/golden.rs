@@ -395,8 +395,7 @@ fn tableau_rows_satisfy_the_row_identity_at_any_feasible_point() {
 fn tableau_rows_reject_bases_from_larger_models() {
     // A basis with more variables/rows than the model cannot be
     // reconciled. (A *smaller* basis is reconciled like a warm start —
-    // the appended-rows contract of the branch-and-cut path, tested
-    // below.)
+    // the appended-rows contract of lazy separation, tested below.)
     let lp = knapsack_relaxation(9, 2);
     let (_, basis) = lp.solve_warm(None).expect("solve");
     let smaller = knapsack_relaxation(6, 1);
@@ -408,7 +407,7 @@ fn tableau_rows_reject_bases_from_larger_models() {
 
 #[test]
 fn tableau_rows_reconcile_a_basis_over_appended_rows() {
-    // Branch-and-cut protocol: solve, append a (valid) cut row, and take
+    // Appended-row protocol: solve, append a (valid) cut row, and take
     // the tableau under the pre-append basis — the new row enters with
     // its logical variable basic and the old rows' tableau is preserved.
     let mut lp = knapsack_relaxation(6, 1);

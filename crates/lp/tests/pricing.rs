@@ -232,7 +232,7 @@ fn dse_weight_handoff_survives_a_warm_resolve_chain() {
 }
 
 /// Warm-start weight handoff, part 2: an *appended row* (the lazy
-/// separation / branch-and-cut protocol) extends the inherited weight
+/// separation and root-cut protocol) extends the inherited weight
 /// framework with unit entries for the new logical instead of resetting
 /// it — observable as the warm re-solve of the grown model still agreeing
 /// with a cold solve.
@@ -286,8 +286,8 @@ fn dse_weights_reset_on_added_columns() {
     }
 }
 
-/// Warm-start weight handoff, part 3: the branch-and-cut pattern proper —
-/// alternating bound tightenings and appended cut rows, every re-solve
+/// Warm-start weight handoff, part 3: alternating bound tightenings and
+/// appended cut rows, every re-solve
 /// warm from the previous basis. The extended weight framework must never
 /// steer the dual engine away from the optimum (weights are a pricing
 /// heuristic, so the only observable contract is warm/cold agreement at

@@ -12,15 +12,13 @@
 //!   variable with a bounded continuous expression following
 //!   Chen/Batson/Dang, indicator (big-M) constraints, absolute values) in
 //!   [`linearize`];
-//! * a **parallel best-first branch-and-cut** solver over the LP
+//! * a **parallel best-first branch-and-bound** solver over the LP
 //!   relaxation: a shared node pool ordered by LP bound
 //!   ([`SolveOptions::threads`] workers, deterministic objective regardless
 //!   of the thread count), most-fractional branching, **Gomory mixed-integer,
-//!   cover and clique cuts** separated from the simplex tableau at the
-//!   root ([`SolveOptions::cut_rounds`]) and — opt-in — throughout the
-//!   tree ([`SolveOptions::cut_every`]: globally valid node cuts are
-//!   lifted into a shared pool, locally valid ones live on the node's
-//!   subtree and die on backtrack), a rounding primal heuristic,
+//!   cover and clique cuts** separated at the root only
+//!   ([`SolveOptions::cut_rounds`]; every node LP then solves the same
+//!   cut-tightened relaxation), a rounding primal heuristic,
 //!   time/node/gap limits and **warm-started node LPs**: every node
 //!   re-enters from its parent's optimal basis through the dual simplex,
 //!   and [`Model::solve_warm`] carries the root basis across solves of a

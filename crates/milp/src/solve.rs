@@ -28,27 +28,12 @@
 //! which optimal solution is returned may differ; see `DESIGN.md`).
 //!
 //! **Cuts.** Before the search starts, up to [`SolveOptions::cut_rounds`]
-//! rounds of Gomory mixed-integer cuts are separated from the root simplex
-//! tableau ([`crate::cuts`]), tightening the root bound for the entire
-//! tree. [`WarmStart`] keeps carrying the *pre-cut* root basis between
+//! rounds of Gomory mixed-integer, cover and clique cuts are separated at
+//! the root ([`crate::cuts`]), tightening the root bound for the entire
+//! tree. Nothing is separated below the root: every worker solves its
+//! nodes on a plain clone of that relaxation. [`WarmStart`] keeps carrying the *pre-cut* root basis between
 //! solves of a growing model, which is what the lazy constraint-separation
 //! loop of the layout engine exploits.
-//!
-//! **Branch and cut.** With [`SolveOptions::cut_every`] non-zero,
-//! separation also runs at non-root nodes (every `cut_every` depth
-//! levels, up to [`SolveOptions::max_cut_rounds`] rounds per node)
-//! against the node LP's own tableau. Each cut is tagged by validity:
-//! **globally valid** cuts are lifted into a shared append-only pool (an
-//! atomic prefix length makes the workers' "anything new?" check
-//! lock-free) and join the base relaxation of every subtree that starts
-//! after them, while **locally valid** cuts — GMI cuts whose bound shift
-//! leaned on a node tightening — stay on the node, are inherited by its
-//! children and die with the subtree on backtrack
-//! ([`SolveOptions::local_cuts`]). Added rows re-solve through the
-//! incremental-row warm-start path of the LP layer (the parent basis is
-//! reconciled, dual steepest-edge weights are extended for the new
-//! slacks), so a cut round costs a handful of dual pivots plus one
-//! refactorisation, not a cold solve.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -91,18 +76,14 @@ pub struct SolveOptions {
     pub cut_rounds: usize,
     /// Maximum cuts accepted per separation round (violation-ranked).
     pub max_cuts_per_round: usize,
-    /// Depth interval for cut separation at **non-root** nodes: a node at
-    /// depth `d > 0` runs separation when `d % cut_every == 0`. `0` (the
-    /// default) keeps separation root-only. Tree cuts require warm starts
-    /// (the node tableau comes from the warm basis).
+    /// Ignored: the search separates cuts at the root only. The field
+    /// stays only because the layout-service benchmark names it.
     pub cut_every: usize,
-    /// Maximum separation rounds at one eligible non-root node (tree
-    /// separation stops early once a round stops moving the node bound).
+    /// Ignored, like [`SolveOptions::cut_every`]; kept only because the
+    /// layout-service benchmark names it.
     pub max_cut_rounds: usize,
-    /// Keep locally valid cuts — sound only under the node's bound
-    /// tightenings — on the node, inherited by its subtree and dropped on
-    /// backtrack. `false` restricts node separation to globally valid
-    /// cuts. Irrelevant while `cut_every == 0`.
+    /// Ignored, like [`SolveOptions::cut_every`]; kept only because the
+    /// layout-service benchmark names it.
     pub local_cuts: bool,
     /// Branching-variable selection rule. [`BranchRule`] has a single
     /// variant; the field stays only because the layout-service benchmark
@@ -178,17 +159,8 @@ impl SolveOptions {
 
     /// The same configuration with root Gomory cuts disabled (pure
     /// branch-and-bound baseline for benchmarks and equivalence tests).
-    /// Tree cuts are disabled with them.
     pub fn without_cuts(mut self) -> SolveOptions {
         self.cut_rounds = 0;
-        self.cut_every = 0;
-        self
-    }
-
-    /// The same configuration with tree-wide (non-root) cut separation
-    /// every `cut_every` depth levels. `0` restores root-only separation.
-    pub fn with_tree_cuts(mut self, cut_every: usize) -> SolveOptions {
-        self.cut_every = cut_every;
         self
     }
 
@@ -261,10 +233,6 @@ pub struct MilpSolution {
     /// Root Gomory, cover and clique cuts added to the relaxation before
     /// the search.
     pub cuts: usize,
-    /// Cuts separated at non-root nodes (globally valid ones lifted into
-    /// the shared pool plus locally valid ones pinned to their subtree);
-    /// `0` unless [`SolveOptions::cut_every`] enables tree separation.
-    pub tree_cuts: usize,
     /// What root presolve removed from the relaxation the tree searched
     /// (all-zero counters when presolve is disabled or found nothing).
     pub presolve: PresolveStats,
@@ -382,174 +350,8 @@ struct Node {
     bound_changes: Vec<(usize, f64, f64)>,
     /// LP bound of the parent (used for best-bound ordering and pruning).
     parent_bound: f64,
-    depth: usize,
     /// Optimal basis of the parent's LP relaxation.
     parent_basis: Option<Basis>,
-    /// Length of the shared tree-cut prefix the parent basis was produced
-    /// under. Frozen while the subtree carries node cuts so the row layout
-    /// under the basis stays a pure prefix of the child LPs.
-    shared_rows: usize,
-    /// Node-cut rows appended after the shared prefix: locally valid cuts
-    /// plus globally valid node cuts still riding with their subtree.
-    /// Inherited by children (cheap `Arc` clones) and dropped with the
-    /// subtree on backtrack — that *is* the invalidation mechanism.
-    node_cuts: Vec<std::sync::Arc<NodeCut>>,
-}
-
-/// One cut row owned by a subtree (see [`Node::node_cuts`]). The unique id
-/// lets a worker LP decide with a prefix comparison whether its currently
-/// appended rows can be reused for the next node.
-#[derive(Debug)]
-struct NodeCut {
-    id: u64,
-    cut: Cut,
-}
-
-/// Upper bound on node-cut rows per subtree: past this the LP rows would
-/// cost more per node re-solve than the bound tightening saves.
-const MAX_NODE_CUT_ROWS: usize = 48;
-/// Upper bound on globally valid tree cuts lifted into the shared pool.
-const MAX_SHARED_TREE_CUTS: usize = 64;
-
-/// Append-only pool of globally valid tree cuts shared by the workers.
-///
-/// `len` mirrors `rows.len()` so the hot-path check "has anything been
-/// published since my prefix?" is a single atomic load; the mutexes are
-/// touched only to publish or to copy a missing suffix. The dedup pool is
-/// seeded with the root cuts so tree separation never re-derives them.
-struct SharedCutPool {
-    rows: Mutex<Vec<std::sync::Arc<Cut>>>,
-    len: AtomicUsize,
-    pool: Mutex<CutPool>,
-    /// Id source for [`NodeCut`]s.
-    node_seq: AtomicU64,
-    /// Total cuts separated at non-root nodes (reported on the solution).
-    separated: AtomicUsize,
-}
-
-impl SharedCutPool {
-    fn new(root_pool: CutPool) -> SharedCutPool {
-        SharedCutPool {
-            rows: Mutex::new(Vec::new()),
-            len: AtomicUsize::new(0),
-            pool: Mutex::new(root_pool),
-            node_seq: AtomicU64::new(0),
-            separated: AtomicUsize::new(0),
-        }
-    }
-
-    /// Published prefix length (lock-free).
-    fn prefix_len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Snapshot of the dedup pool for a node-scoped separation context.
-    fn pool_snapshot(&self) -> CutPool {
-        self.pool.lock_recover().clone()
-    }
-
-    /// Copies rows `[from, to)` of the shared prefix.
-    fn slice(&self, from: usize, to: usize) -> Vec<std::sync::Arc<Cut>> {
-        self.rows.lock_recover()[from..to].to_vec()
-    }
-
-    /// Lifts a globally valid node cut into the shared pool (deduplicated;
-    /// silently dropped once the pool cap is reached — the originating
-    /// subtree keeps its node-row copy either way).
-    ///
-    /// The cap is checked *before* the dedup registration: a cut refused
-    /// for capacity must stay derivable by other subtrees as a node-local
-    /// row, which a poisoned dedup key would suppress forever. `publish`
-    /// is the only path taking both locks (rows, then pool), so the
-    /// ordering cannot deadlock against `pool_snapshot`/`slice`.
-    fn publish(&self, cut: &Cut) {
-        let mut rows = self.rows.lock_recover();
-        if rows.len() >= MAX_SHARED_TREE_CUTS {
-            return;
-        }
-        if !self.pool.lock_recover().insert(cut) {
-            return;
-        }
-        rows.push(std::sync::Arc::new(cut.clone()));
-        self.len.store(rows.len(), Ordering::Release);
-    }
-
-    fn next_node_id(&self) -> u64 {
-        self.node_seq.fetch_add(1, Ordering::Relaxed)
-    }
-}
-
-/// A worker's LP: the shared base relaxation, then `shared_rows` rows of
-/// the shared tree-cut prefix, then the node-cut rows of the subtree
-/// currently being explored. [`WorkerLp::prepare`] reconciles this layout
-/// with the next node's requirements, preferring pure row appends (which
-/// keep the parent basis warm through the LP layer's incremental-row
-/// path) and falling back to a rebuild only on subtree switches.
-struct WorkerLp {
-    lp: LinearProgram,
-    shared_rows: usize,
-    /// Ids of the node-cut rows currently appended after the shared
-    /// prefix, in row order.
-    node_rows: Vec<u64>,
-}
-
-impl WorkerLp {
-    fn new(base: &LinearProgram) -> WorkerLp {
-        WorkerLp {
-            lp: base.clone(),
-            shared_rows: 0,
-            node_rows: Vec::new(),
-        }
-    }
-
-    /// Makes the LP's row set match `node`; returns the shared-prefix
-    /// length adopted (what the node's children must freeze to).
-    fn prepare(&mut self, base_lp: &LinearProgram, cuts: &SharedCutPool, node: &Node) -> usize {
-        // A subtree carrying node cuts freezes its shared prefix: splicing
-        // newer shared rows *between* the prefix and the node rows would
-        // scramble the row layout under every inherited basis.
-        let target_shared = if node.node_cuts.is_empty() {
-            cuts.prefix_len().max(node.shared_rows)
-        } else {
-            node.shared_rows
-        };
-        let prefix_ok = self.node_rows.len() <= node.node_cuts.len()
-            && self
-                .node_rows
-                .iter()
-                .zip(&node.node_cuts)
-                .all(|(id, c)| *id == c.id);
-        if !(prefix_ok
-            && (self.shared_rows == target_shared
-                || (self.shared_rows < target_shared && self.node_rows.is_empty())))
-        {
-            // Subtree switch: rebuild from the base relaxation — this is
-            // how a backtracked subtree's cut rows are pruned from the LP.
-            self.lp = base_lp.clone();
-            self.shared_rows = 0;
-            self.node_rows.clear();
-        }
-        if self.shared_rows < target_shared {
-            for cut in cuts.slice(self.shared_rows, target_shared) {
-                self.lp
-                    .add_constraint(cut.coeffs.clone(), ConstraintOp::Ge, cut.rhs);
-            }
-            self.shared_rows = target_shared;
-        }
-        for cut in &node.node_cuts[self.node_rows.len()..] {
-            self.lp
-                .add_constraint(cut.cut.coeffs.clone(), ConstraintOp::Ge, cut.cut.rhs);
-            self.node_rows.push(cut.id);
-        }
-        target_shared
-    }
-
-    /// Appends a freshly separated node cut row.
-    fn push_node_cut(&mut self, cut: &NodeCut) {
-        self.lp
-            .add_constraint(cut.cut.coeffs.clone(), ConstraintOp::Ge, cut.cut.rhs);
-        self.node_rows.push(cut.id);
-    }
 }
 
 /// An open node in the shared best-first pool. Ordered by `(key, seq)`
@@ -631,15 +433,10 @@ pub(crate) struct Shared {
     /// Original bounds of every variable (node bound resets).
     base_bounds: Vec<(f64, f64)>,
     integer_vars: Vec<usize>,
-    /// `is_integer[v]` for every structural variable of the *reduced*
-    /// relaxation (separator input).
-    is_integer: Vec<bool>,
     /// Root presolve transform: restores reduced-space LP points to the
     /// full model (incumbents are always offered in full-model values) and
     /// carries the objective offset of the removed columns.
     postsolve: Postsolve,
-    /// Globally valid tree cuts shared across the workers.
-    cuts: SharedCutPool,
     sense_sign: f64,
     start: Instant,
     pool: Mutex<Pool>,
@@ -856,7 +653,7 @@ pub(crate) fn worker(shared: &Shared, worker_id: usize) {
         );
         return;
     }
-    let mut lp = WorkerLp::new(&shared.base_lp);
+    let mut lp = shared.base_lp.clone();
     let mut local: Vec<Node> = Vec::new();
     loop {
         let node = match local.pop() {
@@ -1004,10 +801,9 @@ fn finish_active(shared: &Shared, worker_id: usize) {
     }
 }
 
-/// Solves one node, optionally runs tree-cut rounds, branches, and pushes
-/// the children onto the local stack (preferred child last, so it is dived
-/// into first).
-fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut Vec<Node>) {
+/// Solves one node, branches, and pushes the children onto the local
+/// stack (preferred child last, so it is dived into first).
+fn process_node(shared: &Shared, lp: &mut LinearProgram, current: Node, local: &mut Vec<Node>) {
     let options = &shared.options;
     // Prune against the shared incumbent using the parent bound.
     if shared.dominated(current.parent_bound) {
@@ -1027,21 +823,14 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
     shared.nodes.fetch_add(1, Ordering::Relaxed);
     let _ = rfic_lp::fault::fire("milp.solve.node");
 
-    // Reconcile the worker LP's cut rows with this node's subtree, then
-    // solve the node LP (dual-simplex re-entry from the parent basis: only
+    // Solve the node LP (dual-simplex re-entry from the parent basis: only
     // one bound changed, so the parent basis stays dual feasible). The node
     // LP inherits the remaining wall-clock budget so a single degenerate LP
     // cannot blow through the global time limit.
-    let shared_rows = wlp.prepare(&shared.base_lp, &shared.cuts, &current);
-    load_node_bounds(&mut wlp.lp, shared, &current);
-    wlp.lp.set_time_limit(Some(shared.remaining_time()));
-    let lp_result = solve_node_lp(
-        &wlp.lp,
-        current.parent_basis.as_ref(),
-        options,
-        &shared.lp_work,
-    );
-    let (mut lp_solution, mut node_basis) = match lp_result {
+    load_node_bounds(lp, shared, &current);
+    lp.set_time_limit(Some(shared.remaining_time()));
+    let lp_result = solve_node_lp(lp, current.parent_basis.as_ref(), options, &shared.lp_work);
+    let (lp_solution, mut node_basis) = match lp_result {
         Ok(pair) => pair,
         Err(LpError::Infeasible) | Err(LpError::Unbounded) => {
             // Tightening bounds cannot make a bounded relaxation unbounded,
@@ -1068,41 +857,12 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
             return;
         }
     };
-    let mut node_bound = shared.minimised_bound(lp_solution.objective);
-    let mut branch_choice = shared.select_branch_var(&lp_solution.values);
+    let node_bound = shared.minimised_bound(lp_solution.objective);
     if shared.dominated(node_bound) {
         return; // bound-dominated
     }
 
-    // --- tree-cut rounds ---------------------------------------------------
-    let mut node_cuts = current.node_cuts.clone();
-    let eligible = options.cut_every > 0
-        && options.max_cut_rounds > 0
-        && current.depth > 0
-        && current.depth.is_multiple_of(options.cut_every)
-        && branch_choice.is_some()
-        && node_basis.is_some();
-    if eligible {
-        match tree_cut_rounds(
-            shared,
-            wlp,
-            &mut node_cuts,
-            &mut lp_solution,
-            &mut node_basis,
-            &mut node_bound,
-        ) {
-            CutStatus::Prune => return,
-            CutStatus::Proceed => {
-                if shared.dominated(node_bound) {
-                    return; // the tightened bound alone prunes the subtree
-                }
-                // Re-select on the cut-tightened vertex.
-                branch_choice = shared.select_branch_var(&lp_solution.values);
-            }
-        }
-    }
-
-    match branch_choice {
+    match shared.select_branch_var(&lp_solution.values) {
         None => {
             // Integer feasible: candidate incumbent. Rounding happens in
             // the reduced space (where the integer columns live at unit
@@ -1117,24 +877,17 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
             // a factor worn past reuse is refactorised here, once, instead
             // of by each of them (bit-identical solves either way).
             if let Some(basis) = node_basis.as_mut() {
-                wlp.lp.refresh_basis(basis);
+                lp.refresh_basis(basis);
             }
-            // Optional rounding heuristic to seed the incumbent. The
-            // heuristic solves over the cut-free base relaxation, so the
-            // node basis is only a usable warm start while its row count
-            // matches — a basis from a cut-augmented worker LP would be
-            // silently rejected and degrade the heuristic to a cold solve.
+            // Optional rounding heuristic to seed the incumbent.
             if shared.incumbent_bound() == f64::INFINITY {
-                let base_compatible = node_basis
-                    .as_ref()
-                    .filter(|b| b.num_rows() == shared.base_lp.num_constraints());
                 if let Some((vals, objective)) = rounding_heuristic(
                     &shared.model,
                     &shared.base_lp,
                     &shared.base_bounds,
                     &shared.postsolve,
                     &current.bound_changes,
-                    base_compatible,
+                    node_basis.as_ref(),
                     &lp_solution.values,
                     &shared.integer_vars,
                     shared.sense_sign,
@@ -1145,16 +898,8 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
                     shared.offer_incumbent(vals, objective);
                 }
             }
-            let (preferred, sibling) = make_children(
-                shared,
-                &current,
-                var,
-                &lp_solution,
-                node_bound,
-                node_basis,
-                shared_rows,
-                &node_cuts,
-            );
+            let (preferred, sibling) =
+                make_children(shared, &current, var, &lp_solution, node_bound, node_basis);
             if let Some(sibling) = sibling {
                 local.push(sibling);
             }
@@ -1165,12 +910,9 @@ fn process_node(shared: &Shared, wlp: &mut WorkerLp, current: Node, local: &mut 
     }
 }
 
-/// One full separation round over all three cut families: GMI from the
-/// tableau first, then the basis-free cover and clique separators filling
-/// whatever of the budget remains. Shared by the root loop (`node: None`)
-/// and the tree-cut rounds (`node: Some(ctx)`), so the family order and
-/// budget accounting cannot diverge between the two.
-#[allow(clippy::too_many_arguments)]
+/// One full root separation round over all three cut families: GMI from
+/// the tableau first, then the basis-free cover and clique separators
+/// filling whatever of the budget remains.
 fn separate_all_families(
     lp: &LinearProgram,
     basis: &Basis,
@@ -1178,9 +920,8 @@ fn separate_all_families(
     is_integer: &[bool],
     pool: &mut CutPool,
     budget: usize,
-    node: Option<&cuts::NodeSeparation<'_>>,
 ) -> Vec<Cut> {
-    let mut cuts = cuts::separate_gomory(lp, basis, values, is_integer, pool, budget, node);
+    let mut cuts = cuts::separate_gomory(lp, basis, values, is_integer, pool, budget);
     if cuts.len() < budget {
         cuts.extend(cuts::separate_covers(
             lp,
@@ -1188,7 +929,6 @@ fn separate_all_families(
             is_integer,
             pool,
             budget - cuts.len(),
-            node,
         ));
     }
     if cuts.len() < budget {
@@ -1198,133 +938,14 @@ fn separate_all_families(
             is_integer,
             pool,
             budget - cuts.len(),
-            node,
         ));
     }
     cuts
 }
 
-/// Outcome of the tree-cut rounds at one node.
-enum CutStatus {
-    /// Keep processing the node (solution/basis/bound updated in place).
-    Proceed,
-    /// The cut-augmented LP is infeasible — no integer point satisfies the
-    /// node's bound box, so the subtree is pruned outright.
-    Prune,
-}
-
-/// Runs up to [`SolveOptions::max_cut_rounds`] separation rounds against
-/// the node LP's tableau: accepted rows are appended to the worker LP and
-/// to the node's cut list (globally valid ones are also lifted into the
-/// shared pool), then the LP is re-solved warm through the LP layer's
-/// incremental-row path. Rounds stop early once the node bound stops
-/// moving — rows cannot be retracted, so a round is only started while
-/// the previous one paid for itself.
-fn tree_cut_rounds(
-    shared: &Shared,
-    wlp: &mut WorkerLp,
-    node_cuts: &mut Vec<std::sync::Arc<NodeCut>>,
-    solution: &mut LpSolution,
-    basis: &mut Option<Basis>,
-    bound: &mut f64,
-) -> CutStatus {
-    let options = &shared.options;
-    // Node-scoped dedup context: the shared pool's keys plus this
-    // subtree's own rows. Locally valid cuts only ever enter this
-    // snapshot, never the shared pool.
-    let mut pool = shared.cuts.pool_snapshot();
-    for cut in node_cuts.iter() {
-        pool.insert(&cut.cut);
-    }
-    // Validity context: rows past the base relaxation plus the shared
-    // prefix are subtree-owned (constant across the rounds — freshly
-    // appended rows only ever extend the subtree-owned range).
-    let ctx = cuts::NodeSeparation {
-        global_bounds: &shared.base_bounds,
-        global_rows: shared.base_lp.num_constraints() + wlp.shared_rows,
-    };
-    for _round in 0..options.max_cut_rounds {
-        if wlp.node_rows.len() >= MAX_NODE_CUT_ROWS {
-            break;
-        }
-        let Some(node_basis) = basis.as_ref() else {
-            break;
-        };
-        if !has_fractional(&solution.values, &shared.integer_vars) {
-            break;
-        }
-        let mut cuts = separate_all_families(
-            &wlp.lp,
-            node_basis,
-            &solution.values,
-            &shared.is_integer,
-            &mut pool,
-            options.max_cuts_per_round,
-            Some(&ctx),
-        );
-        if !options.local_cuts {
-            cuts.retain(|c| !c.local);
-        }
-        if cuts.is_empty() {
-            break;
-        }
-        shared
-            .cuts
-            .separated
-            .fetch_add(cuts.len(), Ordering::Relaxed);
-        for cut in cuts {
-            if !cut.local {
-                shared.cuts.publish(&cut);
-            }
-            let node_cut = std::sync::Arc::new(NodeCut {
-                id: shared.cuts.next_node_id(),
-                cut,
-            });
-            wlp.push_node_cut(&node_cut);
-            node_cuts.push(node_cut);
-        }
-        // Warm re-solve through the incremental-row path: the parent basis
-        // is reconciled over the appended rows (their logicals enter
-        // basic) and the DSE weights are extended, so this costs a few
-        // dual pivots plus one refactorisation.
-        wlp.lp.set_time_limit(Some(shared.remaining_time()));
-        match solve_node_lp(&wlp.lp, basis.as_ref(), options, &shared.lp_work) {
-            Ok((new_solution, new_basis)) => {
-                let new_bound = shared.minimised_bound(new_solution.objective);
-                // Valid rows can only tighten the relaxation; the max
-                // guards the pruning bound against numerical dips.
-                let improved = new_bound > *bound + 1e-9 + 1e-7 * bound.abs();
-                *solution = new_solution;
-                *basis = new_basis;
-                *bound = bound.max(new_bound);
-                if shared.dominated(*bound) {
-                    return CutStatus::Proceed; // caller prunes on the bound
-                }
-                if !improved {
-                    break;
-                }
-            }
-            Err(LpError::Infeasible) => {
-                // Valid cuts plus the node box admit no feasible point at
-                // all — the subtree contains no integer solution.
-                return CutStatus::Prune;
-            }
-            Err(_) => {
-                // Limits or numerical trouble on an optional re-solve: keep
-                // the last good solution/bound and branch from it. The
-                // appended rows are valid regardless and simply stay with
-                // the subtree.
-                break;
-            }
-        }
-    }
-    CutStatus::Proceed
-}
-
 /// Builds the two children of a branching step and picks the plunge child:
 /// the up branch for binaries (it decides "one-of" groups and relaxes big-M
 /// disjunctions immediately), the LP-rounding side for general integers.
-#[allow(clippy::too_many_arguments)]
 fn make_children(
     shared: &Shared,
     node: &Node,
@@ -1332,8 +953,6 @@ fn make_children(
     lp_solution: &LpSolution,
     node_bound: f64,
     node_basis: Option<Basis>,
-    shared_rows: usize,
-    node_cuts: &[std::sync::Arc<NodeCut>],
 ) -> (Option<Node>, Option<Node>) {
     let val = lp_solution.values[var];
     let frac = val - val.floor();
@@ -1363,10 +982,7 @@ fn make_children(
                 Node {
                     bound_changes: changes,
                     parent_bound: node_bound,
-                    depth: node.depth + 1,
                     parent_basis: basis,
-                    shared_rows,
-                    node_cuts: node_cuts.to_vec(),
                 }
             })
         } else {
@@ -1376,10 +992,7 @@ fn make_children(
                 Node {
                     bound_changes: changes,
                     parent_bound: node_bound,
-                    depth: node.depth + 1,
                     parent_basis: basis,
-                    shared_rows,
-                    node_cuts: node_cuts.to_vec(),
                 }
             })
         }
@@ -1508,7 +1121,6 @@ pub(crate) fn branch_and_bound(
             &is_integer,
             &mut cut_pool,
             options.max_cuts_per_round,
-            None,
         );
         if cuts.is_empty() {
             break;
@@ -1555,11 +1167,7 @@ pub(crate) fn branch_and_bound(
         base_lp,
         base_bounds,
         integer_vars,
-        is_integer,
         postsolve,
-        // The shared tree-cut pool inherits the root dedup state so node
-        // separation never re-derives a cut already in the relaxation.
-        cuts: SharedCutPool::new(cut_pool),
         sense_sign,
         start,
         pool: Mutex::new(Pool {
@@ -1614,10 +1222,7 @@ pub(crate) fn branch_and_bound(
             let root_node = Node {
                 bound_changes: Vec::new(),
                 parent_bound: root_bound,
-                depth: 0,
                 parent_basis: Some(current_basis.clone()),
-                shared_rows: 0,
-                node_cuts: Vec::new(),
             };
             let (preferred, sibling) = make_children(
                 &shared,
@@ -1626,8 +1231,6 @@ pub(crate) fn branch_and_bound(
                 &current_solution,
                 root_bound,
                 Some(current_basis),
-                0,
-                &[],
             );
             // Publish in plunge order: the preferred child carries the lower
             // sequence number and is popped first on equal bounds.
@@ -1667,7 +1270,6 @@ pub(crate) fn branch_and_bound(
 
     // --- assemble the result ----------------------------------------------
     let nodes_explored = shared.nodes.load(Ordering::Relaxed);
-    let tree_cuts = shared.cuts.separated.load(Ordering::Relaxed);
     let simplex_iterations = shared.lp_work.pivots.load(Ordering::Relaxed);
     let lp_refactorizations = shared.lp_work.refactorizations.load(Ordering::Relaxed);
     let lp_dual_iterations = shared.lp_work.dual_pivots.load(Ordering::Relaxed);
@@ -1686,7 +1288,7 @@ pub(crate) fn branch_and_bound(
     // traffic (see DESIGN.md); off unless RFIC_MILP_DEBUG is set.
     if std::env::var_os("RFIC_MILP_DEBUG").is_some() {
         eprintln!(
-            "[milp-solve] vars={} ints={} cons={} threads={thread_count} cuts={cuts_added} tree_cuts={tree_cuts} nodes={nodes_explored} pivots={simplex_iterations} elapsed={:?} incumbent={:?} limit_hit={limit_hit}",
+            "[milp-solve] vars={} ints={} cons={} threads={thread_count} cuts={cuts_added} nodes={nodes_explored} pivots={simplex_iterations} elapsed={:?} incumbent={:?} limit_hit={limit_hit}",
             model.num_vars(),
             model.num_integer_vars(),
             model.num_constraints(),
@@ -1727,7 +1329,6 @@ pub(crate) fn branch_and_bound(
                 lp_dual_iterations,
                 lp_bound_flips,
                 cuts: cuts_added,
-                tree_cuts,
                 presolve: presolve_stats,
             })
         }
@@ -2056,153 +1657,6 @@ mod tests {
         for threads in [2usize, 4] {
             let parallel = m
                 .solve(&SolveOptions::default().with_threads(threads))
-                .expect("parallel");
-            assert_eq!(parallel.status, SolveStatus::Optimal);
-            assert!(
-                (parallel.objective - serial.objective).abs() < 1e-6,
-                "threads={threads}: {} vs {}",
-                parallel.objective,
-                serial.objective
-            );
-            assert!(m.violated_constraints(&parallel.values, 1e-6).is_empty());
-        }
-    }
-
-    #[test]
-    fn worker_lp_prunes_backtracked_node_cuts_and_freezes_the_prefix() {
-        use std::sync::Arc;
-
-        let base = {
-            let mut lp = rfic_lp::LinearProgram::new(3, Sense::Maximize);
-            for v in 0..3 {
-                lp.set_bounds(v, 0.0, 1.0);
-                lp.set_objective_coeff(v, 1.0);
-            }
-            lp.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], ConstraintOp::Le, 2.0);
-            lp
-        };
-        let cut = |v: usize, id: u64| {
-            Arc::new(NodeCut {
-                id,
-                cut: Cut {
-                    coeffs: vec![(v, -1.0)],
-                    rhs: -1.0,
-                    score: 0.0,
-                    local: true,
-                },
-            })
-        };
-        let node = |shared_rows: usize, node_cuts: Vec<Arc<NodeCut>>| Node {
-            bound_changes: Vec::new(),
-            parent_bound: 0.0,
-            depth: 1,
-            parent_basis: None,
-            shared_rows,
-            node_cuts,
-        };
-        let cuts = SharedCutPool::new(CutPool::new());
-        let mut wlp = WorkerLp::new(&base);
-
-        // Plunge: the child extends the parent's node-cut list — rows are
-        // appended, nothing rebuilt.
-        let a = cut(0, 0);
-        let b = cut(1, 1);
-        wlp.prepare(&base, &cuts, &node(0, vec![a.clone()]));
-        assert_eq!(wlp.node_rows, vec![0]);
-        assert_eq!(wlp.lp.num_constraints(), base.num_constraints() + 1);
-        wlp.prepare(&base, &cuts, &node(0, vec![a.clone(), b.clone()]));
-        assert_eq!(wlp.node_rows, vec![0, 1]);
-
-        // Backtrack to a sibling that never saw cut `b`: the stale row
-        // cannot be retracted individually, so the LP is rebuilt without
-        // it — the local cut is pruned from the whole subtree switch.
-        wlp.prepare(&base, &cuts, &node(0, vec![a.clone()]));
-        assert_eq!(wlp.node_rows, vec![0]);
-        assert_eq!(wlp.lp.num_constraints(), base.num_constraints() + 1);
-
-        // A fresh subtree syncs the shared prefix; one carrying node cuts
-        // freezes it at its stored snapshot instead.
-        cuts.publish(&Cut {
-            coeffs: vec![(2, -1.0)],
-            rhs: -1.0,
-            score: 0.0,
-            local: false,
-        });
-        let adopted = wlp.prepare(&base, &cuts, &node(0, Vec::new()));
-        assert_eq!(adopted, 1, "fresh subtree adopts the published prefix");
-        assert_eq!(wlp.lp.num_constraints(), base.num_constraints() + 1);
-        assert!(wlp.node_rows.is_empty());
-        let frozen = wlp.prepare(&base, &cuts, &node(0, vec![a]));
-        assert_eq!(frozen, 0, "cut-carrying subtree keeps its snapshot");
-        assert_eq!(wlp.shared_rows, 0);
-        assert_eq!(wlp.node_rows, vec![0]);
-    }
-
-    #[test]
-    fn tree_cuts_prune_nodes_without_changing_the_optimum() {
-        // The branch-and-cut acceptance criterion: non-root separation must
-        // shrink the tree by a measurable margin at an unchanged optimum.
-        // 0xBEEF is the 24-item parallel-equivalence instance scaled up —
-        // root-only needs four-digit node counts on it.
-        let m = instances::seeded_knapsack(30, 0xBEEF);
-        let root_only = m.solve(&SolveOptions::default()).expect("root-only");
-        let tree = m
-            .solve(&SolveOptions::default().with_tree_cuts(1))
-            .expect("tree cuts");
-        assert_eq!(tree.status, SolveStatus::Optimal);
-        assert!(
-            (tree.objective - root_only.objective).abs() < 1e-6,
-            "tree cuts changed the optimum: {} vs {}",
-            tree.objective,
-            root_only.objective
-        );
-        assert!(tree.tree_cuts > 0, "expected non-root cuts on this model");
-        assert_eq!(root_only.tree_cuts, 0);
-        assert!(
-            (tree.nodes as f64) <= 0.8 * root_only.nodes as f64,
-            "tree cuts must prune >= 20 % of the nodes: {} vs {}",
-            tree.nodes,
-            root_only.nodes
-        );
-    }
-
-    #[test]
-    fn tree_cuts_without_local_cuts_stay_equivalent() {
-        // Restricting node separation to globally valid cuts must also
-        // preserve the optimum (and still count its separated cuts).
-        let m = instances::seeded_knapsack(26, 0xC0FFEE);
-        let reference = m
-            .solve(&SolveOptions::default().without_cuts())
-            .expect("reference");
-        let global_only = m
-            .solve(&SolveOptions {
-                cut_every: 1,
-                local_cuts: false,
-                ..SolveOptions::default()
-            })
-            .expect("global-only tree cuts");
-        assert!(
-            (global_only.objective - reference.objective).abs() < 1e-6,
-            "{} vs {}",
-            global_only.objective,
-            reference.objective
-        );
-        assert!(m.violated_constraints(&global_only.values, 1e-6).is_empty());
-    }
-
-    #[test]
-    fn tree_cuts_are_thread_count_invariant_on_the_objective() {
-        let m = instances::seeded_knapsack(24, 0xBEEF);
-        let serial = m
-            .solve(&SolveOptions::default().with_tree_cuts(2))
-            .expect("serial");
-        for threads in [2usize, 4] {
-            let parallel = m
-                .solve(
-                    &SolveOptions::default()
-                        .with_tree_cuts(2)
-                        .with_threads(threads),
-                )
                 .expect("parallel");
             assert_eq!(parallel.status, SolveStatus::Optimal);
             assert!(

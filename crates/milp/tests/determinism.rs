@@ -186,57 +186,6 @@ fn golden_suite_cuts_on_off_equivalence() {
     }
 }
 
-/// Tree-wide branch-and-cut must also be equivalence-preserving: the same
-/// optimum as the cut-free baseline, for every separation interval, with
-/// and without locally valid cuts, serial and across the parallel worker
-/// pool. This is the regression fence of the per-node cut pools — an
-/// invalid lift into the shared pool, a local cut surviving a backtrack,
-/// or a scrambled row layout under an inherited basis all surface here as
-/// a changed objective.
-#[test]
-fn golden_suite_tree_cuts_equivalence() {
-    for (name, model) in golden_suite() {
-        let reference = model
-            .solve(&SolveOptions::default().without_cuts())
-            .unwrap_or_else(|e| panic!("{name}: reference solve failed: {e}"));
-        let mut configs = vec![
-            SolveOptions::default().with_tree_cuts(1),
-            SolveOptions::default().with_tree_cuts(2),
-            SolveOptions {
-                cut_every: 1,
-                local_cuts: false,
-                ..SolveOptions::default()
-            },
-        ];
-        for threads in parallel_thread_counts() {
-            configs.push(
-                SolveOptions::default()
-                    .with_tree_cuts(1)
-                    .with_threads(threads),
-            );
-            configs.push(
-                SolveOptions::default()
-                    .with_tree_cuts(2)
-                    .with_threads(threads),
-            );
-        }
-        for opts in configs {
-            let tree = model
-                .solve(&opts)
-                .unwrap_or_else(|e| panic!("{name}: tree-cut solve failed ({opts:?}): {e}"));
-            assert_eq!(tree.status, SolveStatus::Optimal, "{name} ({opts:?})");
-            assert!(
-                (tree.objective - reference.objective).abs()
-                    <= 1e-6 * (1.0 + reference.objective.abs()),
-                "{name}: tree cuts changed the optimum under {opts:?}: {} vs {}",
-                tree.objective,
-                reference.objective
-            );
-            assert_valid_incumbent(name, &model, &tree);
-        }
-    }
-}
-
 /// Pool sharing must be invisible: a tree scheduled on a shared
 /// [`SolverPool`] returns the same objective as a dedicated scoped-thread
 /// solve, for every thread count and *while another tree contends for the
@@ -312,13 +261,10 @@ proptest! {
             SolveOptions::default(),
             SolveOptions::default().cold(),
             SolveOptions::default().without_presolve(),
-            SolveOptions::default().with_tree_cuts(1),
-            SolveOptions::default().with_tree_cuts(2),
         ];
         for threads in parallel_thread_counts() {
             configs.push(SolveOptions::default().with_threads(threads));
             configs.push(SolveOptions::default().without_cuts().with_threads(threads));
-            configs.push(SolveOptions::default().with_tree_cuts(2).with_threads(threads));
         }
         for opts in configs {
             let other = model.solve(&opts).expect("solve");
@@ -347,11 +293,9 @@ proptest! {
         let mut configs = vec![
             SolveOptions::default(),
             SolveOptions::default().without_presolve(),
-            SolveOptions::default().with_tree_cuts(1),
         ];
         if let Some(&threads) = parallel_thread_counts().last() {
             configs.push(SolveOptions::default().with_threads(threads));
-            configs.push(SolveOptions::default().with_tree_cuts(1).with_threads(threads));
         }
         for opts in configs {
             let other = model.solve(&opts).expect("solve");
