@@ -482,14 +482,13 @@ fn bench_strip_ilp(c: &mut Criterion) {
     });
     // The layout engine's own solver configuration (most-fractional
     // branching, no cut separation, dual steepest-edge pricing, the
-    // flow's presolve pin with substitution off and unconditional
-    // scaling — see `Pilp::solve_options`), with the four-worker pool of
-    // the acceptance criterion.
+    // flow's presolve pin of unconditional scaling — see
+    // `Pilp::solve_options`), with the four-worker pool of the acceptance
+    // criterion.
     let mut solve_opts = SolveOptions::with_time_limit(Duration::from_secs(10))
         .with_threads(4)
         .without_cuts();
     solve_opts.presolve = rfic_milp::PresolveConfig {
-        substitute: false,
         scale_trigger: 0.0,
         ..rfic_milp::PresolveConfig::default()
     };

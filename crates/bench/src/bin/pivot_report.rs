@@ -13,8 +13,10 @@
 //! dual-pivot counts well below the `dantzig` rows on the warm workloads.
 //!
 //! Usage: `cargo run --release -p rfic-bench --bin pivot_report
-//! [-- --out <path>]` (default `target/pivot_report.txt`); CI uploads the
-//! file next to the bench JSON artifact.
+//! [-- --out <path>]` (default `target/pivot_report.txt`); CI diffs the
+//! file against the committed `BENCH_pivots.txt` and uploads it next to
+//! the bench JSON artifact. A change that moves a counter on purpose
+//! re-records `BENCH_pivots.txt` with this bin.
 
 use std::fmt::Write as _;
 use std::time::Duration;

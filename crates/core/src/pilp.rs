@@ -281,7 +281,7 @@ pub struct SolverTotals {
     /// Structural columns removed by root presolve across the solves.
     pub presolve_cols_removed: usize,
     /// Constraint-matrix nonzeros removed by root presolve across the
-    /// solves (net of substitution fill-in).
+    /// solves.
     pub presolve_nonzeros_removed: usize,
     /// Fallback-ladder re-solves attempted after numerically-failed
     /// solves (each rung tried counts once; `0` on a healthy run).
@@ -533,22 +533,17 @@ impl Pilp {
             // Root cuts never survive the root-bound improvement gate on
             // these models; separating them is pure overhead here.
             cut_rounds: 0,
-            // Presolve with doubleton/free-singleton substitution switched
-            // off: substitution preserves the optimum but steers the
-            // near-tie layout models (mip_gap 1e-4) onto optimal vertices
-            // with measurably more bends — the same class of flow-level
-            // tuning as the branching and pricing defaults. Row/column
-            // elimination, activity bound tightening and equilibration
-            // always run; the bound tightening in particular shrinks the
-            // big-M boxes and is the biggest single win on the tiny-flow
-            // wall clock. `scale_trigger: 0.0` scales the layout models
-            // unconditionally (their ~1.4e3 spread sits below the default
-            // 1e4 trigger): like the substitution pin this is flow-level
-            // vertex steering — the bend counts were tuned with
+            // Presolve: row/column elimination, activity bound tightening
+            // and equilibration always run; the bound tightening in
+            // particular shrinks the big-M boxes and is the biggest single
+            // win on the tiny-flow wall clock. `scale_trigger: 0.0` scales
+            // the layout models unconditionally (their ~1.4e3 spread sits
+            // below the default 1e4 trigger): this is flow-level vertex
+            // steering, the same class of tuning as the branching and
+            // pricing defaults — the bend counts were tuned with
             // equilibrated models, and skipping the scaling pass measurably
             // worsens them.
             presolve: rfic_milp::PresolveConfig {
-                substitute: false,
                 scale_trigger: 0.0,
                 ..rfic_milp::PresolveConfig::default()
             },

@@ -3,17 +3,15 @@
 //! The layout models the P-ILP flow generates mix µm-scale geometry
 //! coefficients with big-M routing disjunctions, and they carry a lot of
 //! slack structure: fixed columns from pinned devices, singleton rows from
-//! simple bounds written as constraints, doubleton equalities from
-//! coordinate chaining, and rows made redundant by variable bounds. This
-//! module removes that structure *before* the revised simplex sees the
-//! model and undoes the reductions afterwards:
+//! simple bounds written as constraints, and rows made redundant by
+//! variable bounds. This module removes that structure *before* the
+//! revised simplex sees the model and undoes the reductions afterwards:
 //!
 //! 1. **Presolve** ([`run`], surfaced as [`LinearProgram::presolve`]) applies
 //!    a fixpoint loop of reductions — empty/singleton/redundant/forcing
-//!    rows, fixed/empty columns, activity-based bound tightening, free
-//!    column singletons and doubleton-equality substitution — and then
-//!    geometric-mean equilibration (power-of-two scale factors so solution
-//!    values round-trip exactly).
+//!    rows, fixed/empty columns and activity-based bound tightening — and
+//!    then geometric-mean equilibration (power-of-two scale factors so
+//!    solution values round-trip exactly).
 //! 2. **Postsolve** ([`Postsolve`]) replays the reduction stack in reverse
 //!    to reconstruct the full-model primal solution and objective, and maps
 //!    a [`Basis`] between the full and reduced spaces in both directions so
@@ -49,13 +47,14 @@ const MAX_PASSES: usize = 5;
 ///
 /// Row and column elimination, activity bound tightening and
 /// equilibration always run when the layer is enabled, for at most five
-/// fixpoint passes; only substitution and the scaling trigger are
-/// settable. [`PresolveConfig::off`] disables the layer entirely.
+/// fixpoint passes; only the scaling trigger is settable.
+/// [`PresolveConfig::off`] disables the layer entirely.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PresolveConfig {
     /// Master switch: when `false` presolve is the identity transform.
     pub enabled: bool,
-    /// Substitute doubleton equalities and free column singletons.
+    /// Ignored: presolve substitutes no columns. The field stays only
+    /// because the layout-service benchmark names it.
     pub substitute: bool,
     /// Coefficient-spread threshold (`max |a| / min |a|` over the reduced
     /// rows) below which equilibration is skipped. Equilibration cannot
@@ -92,12 +91,11 @@ impl PresolveConfig {
 /// Counters describing what presolve did to a model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PresolveStats {
-    /// Constraint rows removed (empty, singleton, redundant, forcing,
-    /// substituted).
+    /// Constraint rows removed (empty, singleton, redundant, forcing).
     pub rows_removed: usize,
-    /// Structural columns removed (fixed, empty, substituted).
+    /// Structural columns removed (fixed, empty).
     pub cols_removed: usize,
-    /// Constraint-matrix nonzeros removed, net of substitution fill-in.
+    /// Constraint-matrix nonzeros removed.
     pub nonzeros_removed: usize,
     /// Variable bounds tightened from row activity (including integer
     /// rounding).
@@ -120,10 +118,8 @@ pub struct Presolved {
     pub stats: PresolveStats,
 }
 
-/// One entry of the reduction stack. Coefficients stored inside an entry
-/// are the values *at the time of the reduction* (original, unscaled
-/// model), which makes reverse replay well defined: every variable a later
-/// reduction references is restored before the entry replays.
+/// One entry of the reduction stack, replayed by postsolve. Values are in
+/// the original, unscaled model.
 #[derive(Debug, Clone)]
 enum Reduction {
     /// Column `col` fixed at `value`. `at_upper` records which bound it
@@ -136,16 +132,6 @@ enum Reduction {
     /// Row `row` removed without touching any column (empty, singleton,
     /// redundant or forcing rows after their columns were fixed).
     RemovedRow { row: usize },
-    /// Column `col` eliminated through equality row `row`:
-    /// `cdiv * x_col + Σ coeffs · x = rhs`, so
-    /// `x_col = (rhs − Σ coeffs · x) / cdiv`.
-    Substituted {
-        col: usize,
-        row: usize,
-        coeffs: Vec<(usize, f64)>,
-        rhs: f64,
-        cdiv: f64,
-    },
 }
 
 /// The reverse transform produced by presolve.
@@ -199,7 +185,7 @@ impl Postsolve {
     }
 
     /// Constant added to the reduced objective value to recover the full
-    /// objective (contributions of fixed and substituted columns).
+    /// objective (contributions of fixed columns).
     pub fn objective_offset(&self) -> f64 {
         self.objective_offset
     }
@@ -218,7 +204,7 @@ impl Postsolve {
 
     /// Map a reduced-space primal point back to the full variable space:
     /// unscale the surviving columns, then replay the reduction stack in
-    /// reverse to reconstruct fixed and substituted columns.
+    /// reverse to reconstruct fixed columns.
     pub fn restore_values(&self, reduced: &[f64]) -> Vec<f64> {
         if self.identity {
             return reduced.to_vec();
@@ -231,19 +217,6 @@ impl Postsolve {
             match entry {
                 Reduction::FixedCol { col, value, .. } => full[*col] = *value,
                 Reduction::RemovedRow { .. } => {}
-                Reduction::Substituted {
-                    col,
-                    coeffs,
-                    rhs,
-                    cdiv,
-                    ..
-                } => {
-                    let mut acc = *rhs;
-                    for &(k, a) in coeffs {
-                        acc -= a * full[k];
-                    }
-                    full[*col] = acc / *cdiv;
-                }
             }
         }
         full
@@ -271,8 +244,7 @@ impl Postsolve {
     /// Surviving columns and rows copy their reduced status; removed
     /// structure gets the statically known status of the reduction that
     /// removed it (fixed columns nonbasic at their bound, removed rows'
-    /// logicals basic, substituted columns basic with the substitution
-    /// row's logical nonbasic). The result carries no factorisation and a
+    /// logicals basic). The result carries no factorisation and a
     /// zero fingerprint, so adopting it costs one refactorisation.
     pub fn basis_to_full(&self, basis: &Basis) -> Basis {
         if self.identity {
@@ -324,11 +296,6 @@ impl Postsolve {
                 Reduction::RemovedRow { row } => {
                     statuses[n + row] = VarStatus::Basic;
                     basic.push(n + row);
-                }
-                Reduction::Substituted { col, row, .. } => {
-                    statuses[*col] = VarStatus::Basic;
-                    basic.push(*col);
-                    statuses[n + row] = VarStatus::AtLower;
                 }
             }
         }
@@ -552,41 +519,6 @@ impl<'a> Work<'a> {
         Ok(())
     }
 
-    /// Set bounds on `j` exactly (no improvement threshold), used where a
-    /// substitution requires the mapped bounds verbatim. Integer rounding
-    /// still applies.
-    fn set_bounds_exact(&mut self, j: usize, mut lo: f64, mut hi: f64) -> Result<(), LpError> {
-        if self.is_integer(j) {
-            if lo.is_finite() {
-                lo = (lo - FEAS_TOL).ceil();
-            }
-            if hi.is_finite() {
-                hi = (hi + FEAS_TOL).floor();
-            }
-        }
-        let mut changed = false;
-        if lo > self.lower[j] {
-            self.lower[j] = lo;
-            changed = true;
-        }
-        if hi < self.upper[j] {
-            self.upper[j] = hi;
-            changed = true;
-        }
-        if changed {
-            self.tightenings += 1;
-        }
-        if self.lower[j] > self.upper[j] + FEAS_TOL * (1.0 + self.upper[j].abs().min(HUGE_BOUND)) {
-            return Err(LpError::Infeasible);
-        }
-        if self.lower[j] > self.upper[j] {
-            let mid = 0.5 * (self.lower[j] + self.upper[j]);
-            self.lower[j] = mid;
-            self.upper[j] = mid;
-        }
-        Ok(())
-    }
-
     /// Fix column `j` at `value`, propagating into every live row.
     fn fix_col(&mut self, j: usize, value: f64, at_upper: bool) {
         self.col_alive[j] = false;
@@ -638,9 +570,9 @@ impl<'a> Work<'a> {
 }
 
 /// Run presolve on `lp`. `integer` optionally marks integer columns
-/// (indexed like the problem's variables): integer bounds are rounded,
-/// integer columns are never substituted away and keep unit scale factors
-/// so branching and cut separation in the caller stay exact.
+/// (indexed like the problem's variables): integer bounds are rounded and
+/// integer columns keep unit scale factors, so branching and cut
+/// separation in the caller stay exact.
 pub(crate) fn run(
     lp: &LinearProgram,
     config: &PresolveConfig,
@@ -717,9 +649,6 @@ pub(crate) fn run(
         let mut changed = row_reductions(&mut work)?;
         changed |= tighten_bounds_pass(&mut work)?;
         changed |= col_reductions(&mut work)?;
-        if config.substitute {
-            changed |= substitution_pass(&mut work)?;
-        }
         if !changed {
             break;
         }
@@ -917,180 +846,6 @@ fn col_reductions(work: &mut Work) -> Result<bool, LpError> {
             work.fix_col(j, value, at_upper);
             changed = true;
         }
-    }
-    Ok(changed)
-}
-
-/// Free column singletons and doubleton equalities.
-fn substitution_pass(work: &mut Work) -> Result<bool, LpError> {
-    let mut changed = false;
-    // Free column singletons: a continuous column appearing in exactly one
-    // live row, which is an equality, with an implied range no tighter
-    // than its own bounds — the row defines the column, so both leave.
-    for j in 0..work.col_alive.len() {
-        if !work.col_alive[j] || work.is_integer(j) {
-            continue;
-        }
-        let hits: Vec<usize> = (0..work.rows.len())
-            .filter(|&r| work.rows[r].alive && work.rows[r].coeffs.iter().any(|&(k, _)| k == j))
-            .collect();
-        if hits.len() != 1 {
-            continue;
-        }
-        let r = hits[0];
-        if work.rows[r].op != ConstraintOp::Eq || work.rows[r].coeffs.len() < 2 {
-            continue;
-        }
-        let b = work.rows[r]
-            .coeffs
-            .iter()
-            .find(|&&(k, _)| k == j)
-            .map(|&(_, a)| a)
-            .unwrap();
-        if b.abs() <= 1e-8 {
-            continue;
-        }
-        // Implied range of x_j from the rest of the row must lie inside
-        // the column's own bounds, otherwise dropping the bounds loses
-        // feasibility information.
-        let act = work.activity(r);
-        let (cmin, cmax) = {
-            let (lo, hi) = (work.lower[j], work.upper[j]);
-            if b > 0.0 {
-                (b * lo, b * hi)
-            } else {
-                (b * hi, b * lo)
-            }
-        };
-        let rest_min = act.min_without(cmin);
-        let rest_max = act.max_without(cmax);
-        if !rest_min.is_finite() || !rest_max.is_finite() {
-            continue;
-        }
-        let rhs = work.rows[r].rhs;
-        let (imp_lo, imp_hi) = {
-            let v1 = (rhs - rest_max) / b;
-            let v2 = (rhs - rest_min) / b;
-            (v1.min(v2), v1.max(v2))
-        };
-        let feas = FEAS_TOL * (1.0 + imp_lo.abs().max(imp_hi.abs()));
-        if imp_lo < work.lower[j] - feas || imp_hi > work.upper[j] + feas {
-            continue;
-        }
-        // x_j = (rhs − Σ rest) / b; transfer its cost onto the rest.
-        let rest: Vec<(usize, f64)> = work.rows[r]
-            .coeffs
-            .iter()
-            .filter(|&&(k, _)| k != j)
-            .copied()
-            .collect();
-        let cj = work.obj[j];
-        work.offset += cj * rhs / b;
-        for &(k, a) in &rest {
-            work.obj[k] -= cj * a / b;
-        }
-        work.col_alive[j] = false;
-        work.rows[r].alive = false;
-        work.stack.push(Reduction::Substituted {
-            col: j,
-            row: r,
-            coeffs: rest,
-            rhs,
-            cdiv: b,
-        });
-        changed = true;
-    }
-
-    // Doubleton equalities: a·x_k + b·x_y = rhs eliminates the continuous
-    // variable with the larger coefficient magnitude (the divisor), with
-    // its bounds mapped exactly onto the survivor.
-    for r in 0..work.rows.len() {
-        if !work.rows[r].alive
-            || work.rows[r].op != ConstraintOp::Eq
-            || work.rows[r].coeffs.len() != 2
-        {
-            continue;
-        }
-        let (j0, a0) = work.rows[r].coeffs[0];
-        let (j1, a1) = work.rows[r].coeffs[1];
-        if a0.abs() <= 1e-8 || a1.abs() <= 1e-8 {
-            continue;
-        }
-        // Pick the eliminated variable y: continuous, and of the eligible
-        // candidates the one with the larger |coefficient| (better
-        // numerics as the divisor).
-        let c0 = !work.is_integer(j0);
-        let c1 = !work.is_integer(j1);
-        let (y, b, k, a) = match (c0, c1) {
-            (false, false) => continue,
-            (true, false) => (j0, a0, j1, a1),
-            (false, true) => (j1, a1, j0, a0),
-            (true, true) => {
-                if a0.abs() >= a1.abs() {
-                    (j0, a0, j1, a1)
-                } else {
-                    (j1, a1, j0, a0)
-                }
-            }
-        };
-        let t = a / b;
-        if t.abs() > 1e6 {
-            continue;
-        }
-        let rhs_b = work.rows[r].rhs / b;
-        // y = rhs_b − t·x_k; map y's bounds onto x_k exactly.
-        let (ylo, yhi) = (work.lower[y], work.upper[y]);
-        let (mut klo, mut khi) = (f64::NEG_INFINITY, f64::INFINITY);
-        if t > 0.0 {
-            if ylo.is_finite() {
-                khi = (rhs_b - ylo) / t;
-            }
-            if yhi.is_finite() {
-                klo = (rhs_b - yhi) / t;
-            }
-        } else {
-            if ylo.is_finite() {
-                klo = (rhs_b - ylo) / t;
-            }
-            if yhi.is_finite() {
-                khi = (rhs_b - yhi) / t;
-            }
-        }
-        work.set_bounds_exact(k, klo, khi)?;
-        // Substitute y out of every other live row.
-        let rhs = work.rows[r].rhs;
-        for r2 in 0..work.rows.len() {
-            if r2 == r || !work.rows[r2].alive {
-                continue;
-            }
-            let g = match work.rows[r2].coeffs.iter().position(|&(v, _)| v == y) {
-                Some(pos) => {
-                    let (_, g) = work.rows[r2].coeffs.swap_remove(pos);
-                    g
-                }
-                None => continue,
-            };
-            work.rows[r2].rhs -= g * rhs_b;
-            match work.rows[r2].coeffs.iter_mut().find(|(v, _)| *v == k) {
-                Some((_, ak)) => *ak -= g * t,
-                None => work.rows[r2].coeffs.push((k, -g * t)),
-            }
-            work.rows[r2].coeffs.retain(|&(_, v)| v.abs() > DROP_TOL);
-        }
-        // Cost transfer: c_y · y = c_y · rhs_b − c_y · t · x_k.
-        let cy = work.obj[y];
-        work.offset += cy * rhs_b;
-        work.obj[k] -= cy * t;
-        work.col_alive[y] = false;
-        work.rows[r].alive = false;
-        work.stack.push(Reduction::Substituted {
-            col: y,
-            row: r,
-            coeffs: vec![(k, a)],
-            rhs,
-            cdiv: b,
-        });
-        changed = true;
     }
     Ok(changed)
 }
@@ -1307,7 +1062,7 @@ mod tests {
     /// A small mixed model exercising several reductions at once.
     fn sample_lp() -> LinearProgram {
         let mut lp = LinearProgram::new(5, Sense::Minimize);
-        // x0 fixed, x1..x2 genuine, x3 via doubleton, x4 via singleton row.
+        // x0 fixed, x1..x3 genuine, x4 bounded by a singleton row.
         lp.set_objective_coeff(0, 3.0);
         lp.set_objective_coeff(1, 1.0);
         lp.set_objective_coeff(2, 2.0);
@@ -1353,7 +1108,9 @@ mod tests {
         let full = lp.solve().unwrap();
         let pre = lp.presolve(&PresolveConfig::default(), None).unwrap();
         assert!(pre.stats.rows_removed >= 2, "stats: {:?}", pre.stats);
-        assert!(pre.stats.cols_removed >= 2, "stats: {:?}", pre.stats);
+        // Only the fixed column goes; the doubleton equality (row 1) stays.
+        assert_eq!(pre.postsolve.kept_columns(), &[1, 2, 3, 4]);
+        assert!(pre.postsolve.kept_rows.contains(&1));
         let red = pre.lp.solve().unwrap();
         let restored = pre.postsolve.restore_solution(&red);
         assert_close(restored.objective, full.objective, "objective");
@@ -1374,6 +1131,22 @@ mod tests {
                 "var {j} out of bounds"
             );
         }
+    }
+
+    #[test]
+    fn substitute_flag_does_not_change_the_presolved_model() {
+        let lp = sample_lp();
+        let presolve = |substitute| {
+            let config = PresolveConfig {
+                substitute,
+                ..PresolveConfig::default()
+            };
+            lp.presolve(&config, None).unwrap()
+        };
+        let (on, off) = (presolve(true), presolve(false));
+        assert_eq!(format!("{:?}", on.lp), format!("{:?}", off.lp));
+        assert_eq!(on.stats, off.stats);
+        assert_eq!(on.postsolve.kept_columns(), off.postsolve.kept_columns());
     }
 
     #[test]

@@ -473,17 +473,16 @@ impl LinearProgram {
     }
 
     /// Presolves the model: removes fixed/empty columns and
-    /// empty/singleton/redundant/forcing rows, substitutes doubleton
-    /// equalities and free column singletons, tightens bounds from row
+    /// empty/singleton/redundant/forcing rows, tightens bounds from row
     /// activity, and equilibrates coefficients with power-of-two
     /// geometric-mean scaling.
     ///
     /// Returns the reduced problem together with a [`crate::Postsolve`]
     /// transform that restores full-space solutions and maps a [`Basis`]
     /// between the two spaces. `integer` optionally marks integer columns
-    /// (same indexing as the variables): their bounds are rounded, they
-    /// are never substituted away and they keep unit scale factors, so a
-    /// MILP caller can branch and separate cuts in the reduced space.
+    /// (same indexing as the variables): their bounds are rounded and
+    /// they keep unit scale factors, so a MILP caller can branch and
+    /// separate cuts in the reduced space.
     ///
     /// # Errors
     ///

@@ -71,8 +71,6 @@ impl Cut {
 #[derive(Debug, Default)]
 pub(crate) struct CutPool {
     seen: BTreeSet<Vec<(usize, i64)>>,
-    /// Cuts accepted into the model so far (for diagnostics).
-    pub accepted: usize,
 }
 
 impl CutPool {
@@ -123,7 +121,6 @@ fn rank_and_pool(mut cuts: Vec<Cut>, pool: &mut CutPool, max_cuts: usize) -> Vec
     for cut in &cuts {
         pool.insert(cut);
     }
-    pool.accepted += cuts.len();
     cuts
 }
 

@@ -8,10 +8,8 @@
 //! * a [`Model`] builder with continuous, binary and general-integer
 //!   variables, linear expressions ([`LinExpr`]) and `<=`/`>=`/`=`
 //!   constraints;
-//! * the linearisation helpers the paper relies on (products of a 0-1
-//!   variable with a bounded continuous expression following
-//!   Chen/Batson/Dang, indicator (big-M) constraints, absolute values) in
-//!   [`linearize`];
+//! * the big-M indicator constraints the paper's model relies on
+//!   (following Chen/Batson/Dang) in [`linearize`];
 //! * a **parallel best-first branch-and-bound** solver over the LP
 //!   relaxation: a shared node pool ordered by LP bound
 //!   ([`SolveOptions::threads`] workers, deterministic objective regardless

@@ -327,19 +327,6 @@ impl WarmStart {
     pub fn has_basis(&self) -> bool {
         self.root_basis.is_some()
     }
-
-    /// A warm-start state seeded from a previously captured root basis
-    /// (the cross-request warm-base cache's rehydration path).
-    pub fn from_basis(basis: Basis) -> WarmStart {
-        WarmStart {
-            root_basis: Some(basis),
-        }
-    }
-
-    /// The captured full-model root basis, if any.
-    pub fn basis(&self) -> Option<&Basis> {
-        self.root_basis.as_ref()
-    }
 }
 
 /// A branch-and-bound node: bound tightenings relative to the root model,
@@ -489,7 +476,7 @@ impl Shared {
     }
 
     /// Minimised full-model bound of a reduced-space LP objective: the
-    /// presolve offset (contribution of fixed/substituted columns) is added
+    /// presolve offset (contribution of fixed columns) is added
     /// back so node bounds compare against incumbents evaluated on the
     /// full model.
     fn minimised_bound(&self, lp_objective: f64) -> f64 {
@@ -1038,8 +1025,8 @@ pub(crate) fn branch_and_bound(
     // The relaxation is presolved once; the ENTIRE tree then runs in the
     // reduced (and scaled) variable space — node bound changes only ever
     // shrink variable boxes, which keeps every root reduction valid in
-    // every subtree. Integer columns keep unit scale factors and are never
-    // substituted away, so branching and cut separation stay exact.
+    // every subtree. Integer columns keep unit scale factors, so branching
+    // and cut separation stay exact.
     let full_is_integer: Vec<bool> = model.vars.iter().map(|v| v.kind.is_integer()).collect();
     let presolved = match model
         .relaxation()
