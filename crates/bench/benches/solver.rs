@@ -365,7 +365,7 @@ fn bench_milp_warm_vs_cold(c: &mut Criterion) {
 
 fn bench_milp(c: &mut Criterion) {
     // The headline branch-and-bound scaling curve, run the way the flow's
-    // acceptance criterion demands: root Gomory cuts on, four workers.
+    // acceptance criterion demands: four workers.
     let mut group = c.benchmark_group("milp_branch_and_bound");
     for items in [10usize, 20, 30] {
         group.bench_function(format!("knapsack_{items}"), |b| {
@@ -390,32 +390,6 @@ fn bench_milp_parallel(c: &mut Criterion) {
             b.iter(|| model.solve(&opts).expect("solvable"));
         });
     }
-    group.finish();
-}
-
-fn bench_milp_cuts(c: &mut Criterion) {
-    // Root Gomory cuts on vs off (single thread): the cut machinery is the
-    // other half of the knapsack_30 speedup.
-    let mut group = c.benchmark_group("milp_cuts");
-    let model = knapsack_model(30);
-    let on = SolveOptions::default();
-    let off = SolveOptions::default().without_cuts();
-    let with_cuts = model.solve(&on).expect("cuts on");
-    let without = model.solve(&off).expect("cuts off");
-    assert!(
-        (with_cuts.objective - without.objective).abs() < 1e-6,
-        "cuts must not change the optimum"
-    );
-    println!(
-        "bench-info: milp_cuts/knapsack_30: {} root cuts, {} vs {} nodes",
-        with_cuts.cuts, with_cuts.nodes, without.nodes
-    );
-    group.bench_function("knapsack_30_cuts_on", |b| {
-        b.iter(|| model.solve(&on).expect("solvable"));
-    });
-    group.bench_function("knapsack_30_cuts_off", |b| {
-        b.iter(|| model.solve(&off).expect("solvable"));
-    });
     group.finish();
 }
 
@@ -481,13 +455,10 @@ fn bench_strip_ilp(c: &mut Criterion) {
         );
     });
     // The layout engine's own solver configuration (most-fractional
-    // branching, no cut separation, dual steepest-edge pricing, the
-    // flow's presolve pin of unconditional scaling — see
-    // `Pilp::solve_options`), with the four-worker pool of the acceptance
-    // criterion.
-    let mut solve_opts = SolveOptions::with_time_limit(Duration::from_secs(10))
-        .with_threads(4)
-        .without_cuts();
+    // branching, dual steepest-edge pricing, the flow's presolve pin of
+    // unconditional scaling — see `Pilp::solve_options`), with the
+    // four-worker pool of the acceptance criterion.
+    let mut solve_opts = SolveOptions::with_time_limit(Duration::from_secs(10)).with_threads(4);
     solve_opts.presolve = rfic_milp::PresolveConfig {
         scale_trigger: 0.0,
         ..rfic_milp::PresolveConfig::default()
@@ -552,7 +523,6 @@ criterion_group!(
     bench_lp_warm_resolve,
     bench_milp,
     bench_milp_parallel,
-    bench_milp_cuts,
     bench_milp_warm_vs_cold,
     bench_milp_dual_pricing,
     bench_strip_ilp

@@ -19,7 +19,6 @@
 //! re-records `BENCH_pivots.txt` with this bin.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use rfic_bench::workloads::random_lp;
 use rfic_lp::{PresolveConfig, PresolveStats, PricingRule};
@@ -215,30 +214,6 @@ fn main() {
                 Some(&s.presolve),
             );
         }
-    }
-
-    // The layout engine's solver configuration on the 30-item knapsack
-    // stand-in is covered above; the single-strip layout solve itself is
-    // exercised by the bench gate (it needs the netlist fixtures, which
-    // this report keeps out of its dependency set).
-    let plain = SolveOptions::default().without_cuts();
-    for (rule, name) in RULES {
-        let s = instances::bench_knapsack(30)
-            .solve(&SolveOptions {
-                time_limit: Duration::from_secs(30),
-                pricing: rule,
-                ..plain.clone()
-            })
-            .expect("solvable");
-        line(
-            format!("milp_plain_{name}/knapsack_30"),
-            s.simplex_iterations,
-            s.lp_dual_iterations,
-            s.lp_bound_flips,
-            s.lp_refactorizations,
-            Some(s.nodes),
-            Some(&s.presolve),
-        );
     }
 
     print!("{report}");

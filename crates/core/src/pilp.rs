@@ -271,10 +271,11 @@ pub struct SolverTotals {
     pub nodes: usize,
     /// Simplex pivots across every node LP.
     pub simplex_iterations: usize,
-    /// Root cuts added across the solves.
+    /// Always `0`: the solver separates no cutting planes. The field stays
+    /// only because the layout-service benchmark names it.
     pub root_cuts: usize,
-    /// Always `0`: the solver separates cuts at the root only. The field
-    /// stays only because the layout-service benchmark names it.
+    /// Always `0`, like [`SolverTotals::root_cuts`]; kept only because the
+    /// layout-service benchmark names it.
     pub tree_cuts: usize,
     /// Constraint rows removed by root presolve across the solves.
     pub presolve_rows_removed: usize,
@@ -296,7 +297,6 @@ impl SolverTotals {
         self.solves += 1;
         self.nodes += solution.nodes;
         self.simplex_iterations += solution.simplex_iterations;
-        self.root_cuts += solution.cuts;
         self.presolve_rows_removed += solution.presolve.rows_removed;
         self.presolve_cols_removed += solution.presolve.cols_removed;
         self.presolve_nonzeros_removed += solution.presolve.nonzeros_removed;
@@ -530,9 +530,6 @@ impl Pilp {
                 .unwrap_or(self.config.solve_time_limit),
             mip_gap: 1e-4,
             threads: self.config.solver_threads,
-            // Root cuts never survive the root-bound improvement gate on
-            // these models; separating them is pure overhead here.
-            cut_rounds: 0,
             // Presolve: row/column elimination, activity bound tightening
             // and equilibration always run; the bound tightening in
             // particular shrinks the big-M boxes and is the biggest single

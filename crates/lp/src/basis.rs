@@ -352,7 +352,7 @@ impl Factorization {
     }
 
     /// BTRAN of a unit vector: solves `Bᵀ y = e_pos` (the pivot-row solve
-    /// of pricing updates and cut separation). Exploits that `e_pos` is
+    /// of dual steepest-edge pricing updates). Exploits that `e_pos` is
     /// zero at every elimination position ordered before `pos`, so the
     /// `Uᵀ` forward solve skips the leading prefix — on average half the
     /// triangular work of a generic [`Factorization::btran`].

@@ -70,7 +70,7 @@ pub mod bench_support {
 pub use problem::{
     CancelToken, Constraint, ConstraintOp, LinearProgram, LpError, LpSolution, PricingRule, Sense,
 };
-pub use revised::{Basis, NonbasicStatus, TableauEntry, TableauRow};
+pub use revised::Basis;
 pub use sparse::{CscMatrix, CsrMatrix, ScatterVec};
 
 /// Numerical tolerance used by the solver for feasibility and optimality
@@ -84,5 +84,4 @@ const _: () = {
     assert_send_sync::<Basis>();
     assert_send_sync::<LinearProgram>();
     assert_send_sync::<LpSolution>();
-    assert_send_sync::<TableauRow>();
 };

@@ -571,8 +571,8 @@ impl<'a> Work<'a> {
 
 /// Run presolve on `lp`. `integer` optionally marks integer columns
 /// (indexed like the problem's variables): integer bounds are rounded and
-/// integer columns keep unit scale factors, so branching and cut
-/// separation in the caller stay exact.
+/// integer columns keep unit scale factors, so branching in the caller
+/// stays exact.
 pub(crate) fn run(
     lp: &LinearProgram,
     config: &PresolveConfig,

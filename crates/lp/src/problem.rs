@@ -481,8 +481,8 @@ impl LinearProgram {
     /// transform that restores full-space solutions and maps a [`Basis`]
     /// between the two spaces. `integer` optionally marks integer columns
     /// (same indexing as the variables): their bounds are rounded and
-    /// they keep unit scale factors, so a MILP caller can branch and
-    /// separate cuts in the reduced space.
+    /// they keep unit scale factors, so a MILP caller can branch in the
+    /// reduced space.
     ///
     /// # Errors
     ///
@@ -530,30 +530,6 @@ impl LinearProgram {
     /// left untouched.
     pub fn refresh_basis(&self, basis: &mut Basis) -> bool {
         revised::refresh_factor(self, basis)
-    }
-
-    /// Extracts the simplex tableau rows of the given *basic structural*
-    /// variables under `basis` (typically the optimal basis returned by
-    /// [`LinearProgram::solve_warm`] on this very model; a basis taken
-    /// before rows or variables were appended is reconciled like a warm
-    /// start).
-    ///
-    /// This is the raw material for cutting planes: a Gomory cut is a
-    /// rounding argument applied to one tableau row of a fractional basic
-    /// integer variable. Requested variables that are not basic in `basis`
-    /// are skipped.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::InvalidModel`] when `basis` does not match this model's
-    /// dimensions or is numerically singular for it.
-    pub fn tableau_rows(
-        &self,
-        basis: &Basis,
-        basic_vars: &[usize],
-    ) -> Result<Vec<crate::TableauRow>, LpError> {
-        self.validate()?;
-        revised::tableau_rows(self, basis, basic_vars)
     }
 
     /// Solves with the legacy dense two-phase tableau simplex.

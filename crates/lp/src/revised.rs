@@ -233,49 +233,6 @@ pub(crate) fn refresh_factor(lp: &LinearProgram, basis: &mut Basis) -> bool {
     }
 }
 
-/// Bound status of a nonbasic variable in a [`TableauRow`] entry.
-///
-/// Needed by cut generators to shift nonbasic variables to their bound
-/// (`x̄ = x − l` at the lower bound, `x̄ = u − x` at the upper) before
-/// applying an integer rounding argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NonbasicStatus {
-    /// Sitting at its (finite) lower bound.
-    AtLower,
-    /// Sitting at its (finite) upper bound.
-    AtUpper,
-    /// Free nonbasic (no finite bound; value 0).
-    Free,
-}
-
-/// One nonbasic entry `ᾱ_j` of a simplex tableau row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TableauEntry {
-    /// Variable index: `< num_vars` for structural variables, `num_vars + r`
-    /// for the logical (slack) variable of constraint row `r`.
-    pub var: usize,
-    /// Tableau coefficient `ᾱ_j = (eᵣᵀB⁻¹)·a_j`.
-    pub coeff: f64,
-    /// Which bound the nonbasic variable currently sits at.
-    pub status: NonbasicStatus,
-}
-
-/// A row of the simplex tableau `x_B(r) + Σ_j ᾱ_j·x_j = value + Σ_j ᾱ_j·x̄_j*`
-/// for the basis returned by [`crate::LinearProgram::solve_warm`].
-///
-/// `value` is the current value of the basic variable; entries cover every
-/// *nonbasic, non-fixed* variable (fixed variables — equal bounds — are
-/// omitted: they can never move, so they contribute nothing to a cut).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableauRow {
-    /// The (structural) variable basic in this row.
-    pub basic_var: usize,
-    /// Current value of the basic variable (`b̄ᵣ`).
-    pub value: f64,
-    /// Nonbasic coefficients of the row.
-    pub entries: Vec<TableauEntry>,
-}
-
 /// Outcome of the dual-simplex engine.
 enum DualOutcome {
     /// Primal feasibility reached (and dual feasibility maintained).
@@ -519,14 +476,13 @@ impl<'a> Solver<'a> {
             old_n == self.n && old_m == self.m && warm.matrix_fingerprint == self.cache.fingerprint;
         // Row extension: same columns, rows appended (constraints are
         // append-only, so an old basis with fewer rows describes a prefix
-        // of this model — lazy constraint separation and root cut
-        // rounds). The old weights stay aligned with the remapped
+        // of this model — lazy constraint separation). The old weights stay aligned with the remapped
         // `basic` prefix and the appended rows enter with their logical
         // variable basic at the exact unit weight `‖B⁻ᵀe‖² = 1` of a
         // fresh logical row. The framework is an approximation either way
         // (Forrest–Goldfarb monotone envelope), so extending beats the
         // old behaviour of resetting the whole framework on every
-        // appended cut row.
+        // appended row.
         let row_extension = old_n == self.n && old_m < self.m;
         let inherited = if self.track_dse && (exact_match || row_extension) {
             warm.dse_weights
@@ -1599,92 +1555,6 @@ impl<'a> Solver<'a> {
         };
         (solution, self.into_snapshot())
     }
-}
-
-/// Extracts simplex tableau rows for the given *basic structural* variables
-/// under `basis`, taken on this model or on a smaller one that this model
-/// extends by appended rows or variables. Requested variables that are not
-/// basic are skipped silently.
-pub(crate) fn tableau_rows(
-    lp: &LinearProgram,
-    basis: &Basis,
-    basic_vars: &[usize],
-) -> Result<Vec<TableauRow>, LpError> {
-    if basis.num_structural > lp.num_vars() || basis.num_rows() > lp.num_constraints() {
-        return Err(LpError::InvalidModel(
-            "tableau basis does not match the model dimensions".into(),
-        ));
-    }
-    let mut solver = Solver::new(lp, Some(basis))?;
-    // A basis from a *smaller* model (rows/variables appended since it was
-    // taken, as in lazy constraint separation) is reconciled by
-    // `Solver::new` exactly like a warm start: appended rows enter with
-    // their logical variable basic, which is itself a valid basis of the
-    // grown model and yields a meaningful tableau. What must be rejected
-    // is the singular-basis fallback, where the solver silently dropped
-    // the requested basis for the all-logical one.
-    let n = lp.num_vars();
-    let old_n = basis.num_structural;
-    let mut expected: Vec<usize> = basis
-        .basic
-        .iter()
-        .map(|&v| if v < old_n { v } else { n + (v - old_n) })
-        .collect();
-    expected.extend(n + basis.num_rows()..n + lp.num_constraints());
-    if solver.basic != expected {
-        // The warm basis was singular and Solver fell back to the logical
-        // basis; a tableau of a different basis would be meaningless.
-        return Err(LpError::InvalidModel(
-            "tableau basis is singular for this model".into(),
-        ));
-    }
-    solver.compute_x_basic();
-    let mut rows = Vec::with_capacity(basic_vars.len());
-    for &var in basic_vars {
-        let Some(pos) = solver.basic.iter().position(|&j| j == var) else {
-            continue;
-        };
-        // Row `pos` of B⁻¹A: ᾱ_j = (e_posᵀ B⁻¹)·a_j.
-        let mut rho = vec![0.0; solver.m];
-        solver.factor.btran_unit(pos, &mut rho);
-        let mut entries = Vec::new();
-        for j in 0..solver.n + solver.m {
-            if solver.statuses[j] == VarStatus::Basic {
-                continue;
-            }
-            // Fixed *logical* variables (equality-row slacks, pinned at 0
-            // by the model itself) are omitted: they can never deviate.
-            // Fixed *structural* variables are reported — a variable fixed
-            // by a branching tightening is only constant inside that
-            // subtree, and a cut generator must see it to shift it (and to
-            // judge the validity of the shift) rather than silently absorb
-            // it as a constant.
-            if j >= solver.n && solver.lower[j] == solver.upper[j] {
-                continue;
-            }
-            let coeff = solver.column_dot(j, &rho);
-            if coeff.abs() <= 1e-11 {
-                continue;
-            }
-            let status = match solver.statuses[j] {
-                VarStatus::AtLower => NonbasicStatus::AtLower,
-                VarStatus::AtUpper => NonbasicStatus::AtUpper,
-                VarStatus::Free => NonbasicStatus::Free,
-                VarStatus::Basic => unreachable!("filtered above"),
-            };
-            entries.push(TableauEntry {
-                var: j,
-                coeff,
-                status,
-            });
-        }
-        rows.push(TableauRow {
-            basic_var: var,
-            value: solver.x_basic[pos],
-            entries,
-        });
-    }
-    Ok(rows)
 }
 
 /// Solves `lp`, optionally warm-starting from `warm` (see [`Basis`]).

@@ -319,122 +319,3 @@ fn warm_start_with_stale_basis_falls_back_to_cold() {
     let cold = small.solve().expect("solve");
     assert!((warm.objective - cold.objective).abs() < TOL * (1.0 + cold.objective.abs()));
 }
-
-#[test]
-fn tableau_rows_satisfy_the_row_identity_at_any_feasible_point() {
-    // A tableau row of an optimal basis states
-    //   x_B = value − Σ_j ᾱ_j·(x_j − x_j*)        (x_j*: nonbasic bound value)
-    // for EVERY point of the equality system A·x + s = b — not just the
-    // optimal vertex. Check it against an independently computed vertex
-    // (the optimum of the same system under a different objective).
-    use rfic_lp::NonbasicStatus;
-    for seed in 0..6u64 {
-        let lp = knapsack_relaxation(8 + seed as usize, seed);
-        let (solution, basis) = lp.solve_warm(None).expect("solve");
-        let n = lp.num_vars();
-        let basic_structurals: Vec<usize> = (0..n).collect();
-        let rows = lp
-            .tableau_rows(&basis, &basic_structurals)
-            .expect("tableau");
-        assert!(!rows.is_empty(), "seed={seed}: some structural is basic");
-
-        // A different vertex of the same feasible region.
-        let mut other = lp.clone();
-        for v in 0..n {
-            other.set_objective_coeff(v, 1.0 + (v as f64 % 3.0));
-        }
-        let alt = other.solve().expect("alt solve");
-        // Slack values of the alternative point: s_r = b_r − A_r·x.
-        let slacks: Vec<f64> = lp
-            .constraints()
-            .iter()
-            .map(|c| {
-                c.rhs
-                    - c.coeffs
-                        .iter()
-                        .map(|&(v, a)| a * alt.values[v])
-                        .sum::<f64>()
-            })
-            .collect();
-        let point_value = |var: usize| -> f64 {
-            if var < n {
-                alt.values[var]
-            } else {
-                slacks[var - n]
-            }
-        };
-        let bound_value = |var: usize, status: NonbasicStatus| -> f64 {
-            if var >= n {
-                return 0.0; // logical bounds are [0, ∞) or (−∞, 0]
-            }
-            let (l, u) = lp.bounds(var);
-            match status {
-                NonbasicStatus::AtLower => l,
-                NonbasicStatus::AtUpper => u,
-                NonbasicStatus::Free => 0.0,
-            }
-        };
-        for row in &rows {
-            let mut reconstructed = row.value;
-            for entry in &row.entries {
-                reconstructed -=
-                    entry.coeff * (point_value(entry.var) - bound_value(entry.var, entry.status));
-            }
-            let actual = alt.values[row.basic_var];
-            assert!(
-                (reconstructed - actual).abs() < 1e-6 * (1.0 + actual.abs()),
-                "seed={seed}: row of x{} reconstructs {reconstructed} instead of {actual}",
-                row.basic_var
-            );
-        }
-        let _ = solution;
-    }
-}
-
-#[test]
-fn tableau_rows_reject_bases_from_larger_models() {
-    // A basis with more variables/rows than the model cannot be
-    // reconciled. (A *smaller* basis is reconciled like a warm start —
-    // the appended-rows contract of lazy separation, tested below.)
-    let lp = knapsack_relaxation(9, 2);
-    let (_, basis) = lp.solve_warm(None).expect("solve");
-    let smaller = knapsack_relaxation(6, 1);
-    assert!(matches!(
-        smaller.tableau_rows(&basis, &[0]),
-        Err(LpError::InvalidModel(_))
-    ));
-}
-
-#[test]
-fn tableau_rows_reconcile_a_basis_over_appended_rows() {
-    // Appended-row protocol: solve, append a (valid) cut row, and take
-    // the tableau under the pre-append basis — the new row enters with
-    // its logical variable basic and the old rows' tableau is preserved.
-    let mut lp = knapsack_relaxation(6, 1);
-    let (solution, basis) = lp.solve_warm(None).expect("solve");
-    let basic_structural: Vec<usize> = (0..lp.num_vars())
-        .filter(|&v| {
-            // Fractional values mark basic variables on this relaxation.
-            let frac = (solution.values[v] - solution.values[v].round()).abs();
-            frac > 1e-6
-        })
-        .collect();
-    let before = lp
-        .tableau_rows(&basis, &basic_structural)
-        .expect("tableau before");
-    lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Le, 2.0);
-    let after = lp
-        .tableau_rows(&basis, &basic_structural)
-        .expect("tableau after appended row");
-    assert_eq!(before.len(), after.len());
-    for (b, a) in before.iter().zip(&after) {
-        assert_eq!(b.basic_var, a.basic_var);
-        assert!(
-            (b.value - a.value).abs() < 1e-9,
-            "basic value of x{} changed: {} vs {}",
-            b.basic_var,
-            b.value,
-            a.value
-        );
-    }
-}

@@ -232,7 +232,7 @@ fn dse_weight_handoff_survives_a_warm_resolve_chain() {
 }
 
 /// Warm-start weight handoff, part 2: an *appended row* (the lazy
-/// separation and root-cut protocol) extends the inherited weight
+/// separation protocol) extends the inherited weight
 /// framework with unit entries for the new logical instead of resetting
 /// it — observable as the warm re-solve of the grown model still agreeing
 /// with a cold solve.

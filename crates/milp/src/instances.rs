@@ -15,8 +15,8 @@ use crate::{LinExpr, Model, Sense};
 /// Seed of the `milp_branch_and_bound/knapsack_20` benchmark instance.
 ///
 /// Chosen so the 20-item point of the scaling curve falls *between* the 10-
-/// and 30-item points under the benchmark solver configuration (cuts on,
-/// four workers) while staying verified-nontrivial (thousands of plain
+/// and 30-item points under the benchmark solver configuration (four
+/// workers) while staying verified-nontrivial (thousands of plain
 /// branch-and-bound nodes) — the replaced closed-form instance was pruned
 /// at the root and benchmarked faster than the 10-item one.
 pub const KNAPSACK20_BENCH_SEED: u64 = 23;
@@ -26,14 +26,14 @@ pub const KNAPSACK20_BENCH_SEED: u64 = 23;
 ///
 /// All three sizes are seeded instances from [`seeded_knapsack`] with
 /// per-size pinned seeds whose difficulty was *measured monotone* under
-/// the benchmark solver configuration (root cuts on, four workers): the
-/// serial tree sizes are 25, 51 and 1415 nodes for 10, 20 and 30 items,
-/// and the wall times hold the same order with >2× separation between
-/// neighbours. The previous curve mixed the closed-form family (10, 30)
-/// with a seeded 20-item instance, and after the presolve layer the
-/// closed-form 30-item model collapsed below the 20-item one
-/// (`knapsack_20` benchmarked *slower* than `knapsack_30`), inverting
-/// the curve. [`KNAPSACK20_BENCH_SEED`] remains the pinned 20-item seed.
+/// the benchmark solver configuration (four workers): the serial tree
+/// sizes are 387, 2,547 and 4,343 nodes for 10, 20 and 30 items, and the
+/// wall times hold the same order. The previous curve mixed the
+/// closed-form family (10, 30) with a seeded 20-item instance, and after
+/// the presolve layer the closed-form 30-item model collapsed below the
+/// 20-item one (`knapsack_20` benchmarked *slower* than `knapsack_30`),
+/// inverting the curve. [`KNAPSACK20_BENCH_SEED`] remains the pinned
+/// 20-item seed.
 ///
 /// Guarded by the `bench_knapsack_curve_is_monotone` regression test.
 pub fn bench_knapsack(items: usize) -> Model {
@@ -105,8 +105,8 @@ pub fn seeded_knapsack(items: usize, seed: u64) -> Model {
 /// demand row and per-facility capacity links `flow_i ≤ cap_i·open_i`.
 ///
 /// The LP relaxation opens facilities fractionally, so branch and bound has
-/// real work to do, and the capacity links exercise the mixed-integer
-/// (continuous-column) branch of the Gomory cut derivation.
+/// real work to do, and the capacity links mix continuous columns into
+/// the relaxation the search branches on.
 pub fn seeded_facility(facilities: usize, seed: u64) -> Model {
     let mut rng = XorShift64::new(seed ^ 0xFAC1_117E);
     let mut m = Model::new(Sense::Minimize);
@@ -143,10 +143,9 @@ mod tests {
     /// regression guard for the `knapsack_20` benchmark anomaly.
     #[test]
     fn seeded_knapsacks_are_nontrivial_and_scale() {
-        // Hardness is a property of the *instance*, so it is measured with
-        // the plain branch-and-bound (cuts off — root cuts legitimately
-        // collapse small trees).
-        let plain = SolveOptions::default().without_cuts();
+        // Hardness is a property of the *instance*, measured with the
+        // plain branch and bound.
+        let plain = SolveOptions::default();
         let mut previous_nodes = 0usize;
         for items in [10usize, 20, 30] {
             let m = seeded_knapsack(items, 0xDAC2016);
@@ -186,9 +185,7 @@ mod tests {
             .filter(|v| (*v - v.round()).abs() > 1e-6)
             .count();
         assert!(fractional >= 1, "root LP must be fractional");
-        let plain = m
-            .solve(&SolveOptions::default().without_cuts())
-            .expect("solve");
+        let plain = m.solve(&SolveOptions::default()).expect("solve");
         assert_eq!(plain.status, SolveStatus::Optimal);
         assert!(
             plain.nodes >= 100,
@@ -199,8 +196,7 @@ mod tests {
 
     /// The pinned bench curve must stay *monotone*: strictly growing
     /// serial tree size from 10 to 20 to 30 items under the benchmark
-    /// solver configuration (cuts on; serial, so the counts are
-    /// deterministic). This is the regression guard for the
+    /// solver configuration (serial, so the counts are deterministic). This is the regression guard for the
     /// `knapsack_20 > knapsack_30` timing inversion the per-size seeds
     /// replaced.
     #[test]

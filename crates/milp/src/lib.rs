@@ -13,10 +13,9 @@
 //! * a **parallel best-first branch-and-bound** solver over the LP
 //!   relaxation: a shared node pool ordered by LP bound
 //!   ([`SolveOptions::threads`] workers, deterministic objective regardless
-//!   of the thread count), most-fractional branching, **Gomory mixed-integer,
-//!   cover and clique cuts** separated at the root only
-//!   ([`SolveOptions::cut_rounds`]; every node LP then solves the same
-//!   cut-tightened relaxation), a rounding primal heuristic,
+//!   of the thread count), most-fractional branching with no cutting
+//!   planes (every node LP solves the presolved root relaxation plus its
+//!   own bound changes), a rounding primal heuristic,
 //!   time/node/gap limits and **warm-started node LPs**: every node
 //!   re-enters from its parent's optimal basis through the dual simplex,
 //!   and [`Model::solve_warm`] carries the root basis across solves of a
@@ -50,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cuts;
 mod expr;
 pub mod instances;
 pub mod linearize;

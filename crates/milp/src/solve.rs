@@ -1,6 +1,5 @@
 //! Parallel best-first branch-and-bound MILP solver over the LP relaxation,
-//! with warm-started node re-solves, root-node Gomory cuts and
-//! most-fractional branching.
+//! with warm-started node re-solves and most-fractional branching.
 //!
 //! **Search organisation.** Open nodes live in a shared pool ordered by
 //! their parent LP bound (best-first), tie-broken by a monotone sequence
@@ -27,13 +26,12 @@
 //! deterministic and independent of the thread count (the tree shape and
 //! which optimal solution is returned may differ; see `DESIGN.md`).
 //!
-//! **Cuts.** Before the search starts, up to [`SolveOptions::cut_rounds`]
-//! rounds of Gomory mixed-integer, cover and clique cuts are separated at
-//! the root ([`crate::cuts`]), tightening the root bound for the entire
-//! tree. Nothing is separated below the root: every worker solves its
-//! nodes on a plain clone of that relaxation. [`WarmStart`] keeps carrying the *pre-cut* root basis between
-//! solves of a growing model, which is what the lazy constraint-separation
-//! loop of the layout engine exploits.
+//! **No cutting planes.** Presolve and the root LP run on the calling
+//! thread, and every worker then solves its nodes on a plain clone of that
+//! relaxation: nothing is separated, at the root or below it (DESIGN.md
+//! "No cutting planes" records why). [`WarmStart`] carries the root basis
+//! between solves of a growing model, which is what the lazy
+//! constraint-separation loop of the layout engine exploits.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -44,11 +42,10 @@ use std::time::{Duration, Instant};
 use rfic_lp::sync::{LockExt, Slot};
 
 use rfic_lp::{
-    Basis, CancelToken, ConstraintOp, LinearProgram, LpError, LpSolution, Postsolve,
-    PresolveConfig, PresolveStats, PricingRule, Sense,
+    Basis, CancelToken, LinearProgram, LpError, LpSolution, Postsolve, PresolveConfig,
+    PresolveStats, PricingRule, Sense,
 };
 
-use crate::cuts::{self, Cut, CutPool};
 use crate::model::Model;
 use crate::INT_TOLERANCE;
 
@@ -72,17 +69,16 @@ pub struct SolveOptions {
     /// `n > 1` spawns `n` workers over the shared node pool, `0` uses the
     /// available hardware parallelism (see [`crate::resolve_threads`]).
     pub threads: usize,
-    /// Rounds of root-node Gomory cut separation (`0` disables cuts).
+    /// Ignored: the search separates no cutting planes. The field stays
+    /// only because the layout-service benchmark names it.
     pub cut_rounds: usize,
-    /// Maximum cuts accepted per separation round (violation-ranked).
-    pub max_cuts_per_round: usize,
-    /// Ignored: the search separates cuts at the root only. The field
-    /// stays only because the layout-service benchmark names it.
+    /// Ignored, like [`SolveOptions::cut_rounds`]; kept only because the
+    /// layout-service benchmark names it.
     pub cut_every: usize,
-    /// Ignored, like [`SolveOptions::cut_every`]; kept only because the
+    /// Ignored, like [`SolveOptions::cut_rounds`]; kept only because the
     /// layout-service benchmark names it.
     pub max_cut_rounds: usize,
-    /// Ignored, like [`SolveOptions::cut_every`]; kept only because the
+    /// Ignored, like [`SolveOptions::cut_rounds`]; kept only because the
     /// layout-service benchmark names it.
     pub local_cuts: bool,
     /// Branching-variable selection rule. [`BranchRule`] has a single
@@ -121,7 +117,6 @@ impl Default for SolveOptions {
             warm_start: true,
             threads: 1,
             cut_rounds: 2,
-            max_cuts_per_round: 10,
             cut_every: 0,
             max_cut_rounds: 2,
             local_cuts: true,
@@ -154,13 +149,6 @@ impl SolveOptions {
     /// (`0` = available parallelism).
     pub fn with_threads(mut self, threads: usize) -> SolveOptions {
         self.threads = threads;
-        self
-    }
-
-    /// The same configuration with root Gomory cuts disabled (pure
-    /// branch-and-bound baseline for benchmarks and equivalence tests).
-    pub fn without_cuts(mut self) -> SolveOptions {
-        self.cut_rounds = 0;
         self
     }
 
@@ -230,9 +218,6 @@ pub struct MilpSolution {
     /// test across every node LP (each batch of flips rides on a single
     /// dual pivot).
     pub lp_bound_flips: usize,
-    /// Root Gomory, cover and clique cuts added to the relaxation before
-    /// the search.
-    pub cuts: usize,
     /// What root presolve removed from the relaxation the tree searched
     /// (all-zero counters when presolve is disabled or found nothing).
     pub presolve: PresolveStats,
@@ -309,9 +294,7 @@ impl From<LpError> for MilpError {
 /// solve, separate violated constraints, append them, re-solve).
 ///
 /// The stored root basis also survives added variables/constraints — the LP
-/// layer reconciles the dimensions (see [`rfic_lp::Basis`]). The basis kept
-/// here is always the **pre-cut** root basis: Gomory cut rows are private
-/// to one solve and would make the basis stale for the next model.
+/// layer reconciles the dimensions (see [`rfic_lp::Basis`]).
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     root_basis: Option<Basis>,
@@ -415,7 +398,7 @@ struct Pool {
 pub(crate) struct Shared {
     model: Model,
     options: SolveOptions,
-    /// Root relaxation plus accepted Gomory cut rows.
+    /// The presolved root relaxation every node LP clones.
     base_lp: LinearProgram,
     /// Original bounds of every variable (node bound resets).
     base_bounds: Vec<(f64, f64)>,
@@ -897,39 +880,6 @@ fn process_node(shared: &Shared, lp: &mut LinearProgram, current: Node, local: &
     }
 }
 
-/// One full root separation round over all three cut families: GMI from
-/// the tableau first, then the basis-free cover and clique separators
-/// filling whatever of the budget remains.
-fn separate_all_families(
-    lp: &LinearProgram,
-    basis: &Basis,
-    values: &[f64],
-    is_integer: &[bool],
-    pool: &mut CutPool,
-    budget: usize,
-) -> Vec<Cut> {
-    let mut cuts = cuts::separate_gomory(lp, basis, values, is_integer, pool, budget);
-    if cuts.len() < budget {
-        cuts.extend(cuts::separate_covers(
-            lp,
-            values,
-            is_integer,
-            pool,
-            budget - cuts.len(),
-        ));
-    }
-    if cuts.len() < budget {
-        cuts.extend(cuts::separate_cliques(
-            lp,
-            values,
-            is_integer,
-            pool,
-            budget - cuts.len(),
-        ));
-    }
-    cuts
-}
-
 /// Builds the two children of a branching step and picks the plunge child:
 /// the up branch for binaries (it decides "one-of" groups and relaxes big-M
 /// disjunctions immediately), the LP-rounding side for general integers.
@@ -995,14 +945,14 @@ fn make_children(
     }
 }
 
-/// Solves `model` by parallel best-first branch and bound with root cuts.
+/// Solves `model` by parallel best-first branch and bound.
 ///
-/// The root work (presolve, root LP, cut rounds) always runs on the
-/// calling thread. The tree search then either runs on scoped threads
-/// owned by this call (`worker_pool: None` — the classical path) or is
-/// registered with a long-lived [`crate::SolverPool`] whose workers
-/// attach to the tree; both execute the identical `worker` loop, so the
-/// returned objective is the same either way.
+/// The root work (presolve, root LP) always runs on the calling thread.
+/// The tree search then either runs on scoped threads owned by this call
+/// (`worker_pool: None` — the classical path) or is registered with a
+/// long-lived [`crate::SolverPool`] whose workers attach to the tree; both
+/// execute the identical `worker` loop, so the returned objective is the
+/// same either way.
 ///
 /// `warm` seeds the root from (and receives) the full-space root basis;
 /// `None` and an empty [`WarmStart`] both solve cold.
@@ -1026,7 +976,7 @@ pub(crate) fn branch_and_bound(
     // reduced (and scaled) variable space — node bound changes only ever
     // shrink variable boxes, which keeps every root reduction valid in
     // every subtree. Integer columns keep unit scale factors, so branching
-    // and cut separation stay exact.
+    // stays exact.
     let full_is_integer: Vec<bool> = model.vars.iter().map(|v| v.kind.is_integer()).collect();
     let presolved = match model
         .relaxation()
@@ -1039,17 +989,13 @@ pub(crate) fn branch_and_bound(
     };
     let postsolve = presolved.postsolve;
     let presolve_stats = presolved.stats;
-    // Reduced-space views of the integer structure and variable bounds
-    // (identical to the model's own when presolve is off).
-    let is_integer: Vec<bool> = postsolve
+    // Reduced-space view of the integer structure (identical to the
+    // model's own when presolve is off).
+    let integer_vars: Vec<usize> = postsolve
         .kept_columns()
         .iter()
-        .map(|&fj| full_is_integer[fj])
-        .collect();
-    let integer_vars: Vec<usize> = is_integer
-        .iter()
         .enumerate()
-        .filter(|(_, &int)| int)
+        .filter(|&(_, &fj)| full_is_integer[fj])
         .map(|(j, _)| j)
         .collect();
 
@@ -1058,8 +1004,8 @@ pub(crate) fn branch_and_bound(
     base_lp.set_pricing(options.pricing);
     base_lp.set_time_limit(Some(options.time_limit));
     // Every worker LP is a clone of the base relaxation, so attaching the
-    // job's cancellation token here propagates it into every node,
-    // heuristic and cut re-solve of the tree.
+    // job's cancellation token here propagates it into every node and
+    // heuristic re-solve of the tree.
     base_lp.set_cancel_token(options.cancel.clone());
     let base_bounds: Vec<(f64, f64)> = (0..base_lp.num_vars()).map(|j| base_lp.bounds(j)).collect();
     // The stored warm basis lives in the FULL variable space; project it
@@ -1075,7 +1021,7 @@ pub(crate) fn branch_and_bound(
             "forced singular basis (failpoint)".into(),
         )));
     }
-    let (root_solution, root_basis) = match base_lp.solve_warm(root_warm.as_ref()) {
+    let (root_solution, mut root_basis) = match base_lp.solve_warm(root_warm.as_ref()) {
         Ok(pair) => pair,
         Err(LpError::Infeasible) => return Err(MilpError::Infeasible),
         Err(LpError::Unbounded) => return Err(MilpError::Unbounded),
@@ -1085,66 +1031,14 @@ pub(crate) fn branch_and_bound(
         Err(e) => return Err(MilpError::Lp(e)),
     };
     lp_work.record(&root_solution);
-    // The *pre-cut* root basis is what survives into the next solve of a
-    // grown model (cut rows are private to this solve); it is stored in
-    // full-model coordinates so it outlives this solve's presolve.
+    // The root basis survives into the next solve of a grown model; it is
+    // stored in full-model coordinates so it outlives this solve's
+    // presolve.
     if let Some(w) = warm {
         w.root_basis = Some(postsolve.basis_to_full(&root_basis));
     }
 
-    // --- root Gomory cut rounds -------------------------------------------
-    let mut cut_pool = CutPool::new();
-    let mut cuts_added = 0usize;
-    let mut current_solution = root_solution;
-    let mut current_basis = root_basis;
-    for _round in 0..options.cut_rounds {
-        if !has_fractional(&current_solution.values, &integer_vars) {
-            break;
-        }
-        let cuts = separate_all_families(
-            &base_lp,
-            &current_basis,
-            &current_solution.values,
-            &is_integer,
-            &mut cut_pool,
-            options.max_cuts_per_round,
-        );
-        if cuts.is_empty() {
-            break;
-        }
-        let saved = base_lp.clone();
-        let bound_before = sense_sign * (current_solution.objective + postsolve.objective_offset());
-        for cut in &cuts {
-            base_lp.add_constraint(cut.coeffs.clone(), ConstraintOp::Ge, cut.rhs);
-        }
-        base_lp.set_time_limit(Some(options.time_limit.saturating_sub(start.elapsed())));
-        match base_lp.solve_warm(Some(&current_basis)) {
-            Ok((solution, basis)) => {
-                lp_work.record(&solution);
-                // Keep the round only if it actually moved the root bound:
-                // on the big-M layout models Gomory cuts are typically too
-                // weak to pay for the extra rows in every node LP, and this
-                // gate is what keeps them free there.
-                let improvement =
-                    sense_sign * (solution.objective + postsolve.objective_offset()) - bound_before;
-                if improvement < 1e-9 + 1e-7 * bound_before.abs() {
-                    base_lp = saved;
-                    break;
-                }
-                cuts_added += cuts.len();
-                current_solution = solution;
-                current_basis = basis;
-            }
-            Err(_) => {
-                // Numerical trouble on the cut LP: cutting is optional, so
-                // fall back to the last good relaxation.
-                base_lp = saved;
-                break;
-            }
-        }
-    }
-
-    let root_bound = sense_sign * (current_solution.objective + postsolve.objective_offset());
+    let root_bound = sense_sign * (root_solution.objective + postsolve.objective_offset());
 
     // --- shared search state ----------------------------------------------
     let thread_count = crate::resolve_threads(options.threads);
@@ -1178,10 +1072,10 @@ pub(crate) fn branch_and_bound(
         error: Slot::default(),
     });
 
-    match shared.select_branch_var(&current_solution.values) {
+    match shared.select_branch_var(&root_solution.values) {
         None => {
             // Root already integral: done.
-            let reduced = round_integers(&current_solution.values, &shared.integer_vars);
+            let reduced = round_integers(&root_solution.values, &shared.integer_vars);
             let values = shared.postsolve.restore_values(&reduced);
             let objective = evaluate_objective(model, &values) * sense_sign;
             shared.offer_incumbent(values, objective);
@@ -1189,15 +1083,15 @@ pub(crate) fn branch_and_bound(
         Some((var, _)) => {
             // Refactorise once for the heuristic and both children (see
             // `process_node`).
-            shared.base_lp.refresh_basis(&mut current_basis);
+            shared.base_lp.refresh_basis(&mut root_basis);
             if let Some((vals, objective)) = rounding_heuristic(
                 model,
                 &shared.base_lp,
                 &shared.base_bounds,
                 &shared.postsolve,
                 &[],
-                Some(&current_basis),
-                &current_solution.values,
+                Some(&root_basis),
+                &root_solution.values,
                 &shared.integer_vars,
                 sense_sign,
                 options,
@@ -1209,15 +1103,15 @@ pub(crate) fn branch_and_bound(
             let root_node = Node {
                 bound_changes: Vec::new(),
                 parent_bound: root_bound,
-                parent_basis: Some(current_basis.clone()),
+                parent_basis: Some(root_basis.clone()),
             };
             let (preferred, sibling) = make_children(
                 &shared,
                 &root_node,
                 var,
-                &current_solution,
+                &root_solution,
                 root_bound,
-                Some(current_basis),
+                Some(root_basis),
             );
             // Publish in plunge order: the preferred child carries the lower
             // sequence number and is popped first on equal bounds.
@@ -1275,7 +1169,7 @@ pub(crate) fn branch_and_bound(
     // traffic (see DESIGN.md); off unless RFIC_MILP_DEBUG is set.
     if std::env::var_os("RFIC_MILP_DEBUG").is_some() {
         eprintln!(
-            "[milp-solve] vars={} ints={} cons={} threads={thread_count} cuts={cuts_added} nodes={nodes_explored} pivots={simplex_iterations} elapsed={:?} incumbent={:?} limit_hit={limit_hit}",
+            "[milp-solve] vars={} ints={} cons={} threads={thread_count} nodes={nodes_explored} pivots={simplex_iterations} elapsed={:?} incumbent={:?} limit_hit={limit_hit}",
             model.num_vars(),
             model.num_integer_vars(),
             model.num_constraints(),
@@ -1315,7 +1209,6 @@ pub(crate) fn branch_and_bound(
                 lp_refactorizations,
                 lp_dual_iterations,
                 lp_bound_flips,
-                cuts: cuts_added,
                 presolve: presolve_stats,
             })
         }
@@ -1327,14 +1220,6 @@ pub(crate) fn branch_and_bound(
             }
         }
     }
-}
-
-/// `true` when any integer variable is fractional beyond the tolerance.
-fn has_fractional(values: &[f64], integer_vars: &[usize]) -> bool {
-    integer_vars.iter().any(|&v| {
-        let frac = values[v] - values[v].floor();
-        frac > INT_TOLERANCE && frac < 1.0 - INT_TOLERANCE
-    })
 }
 
 /// Relative gap between the incumbent and the best open bound (both in
@@ -1576,17 +1461,14 @@ mod tests {
     fn warm_start_prunes_simplex_work_with_identical_objectives() {
         // The acceptance criterion of the solver refactor: across the bench
         // knapsacks, warm-started B&B reaches the same optima with fewer
-        // total simplex pivots than cold-starting every node. Cuts are off
-        // so both sides search the same tree.
+        // total simplex pivots than cold-starting every node.
         let mut warm_total = 0usize;
         let mut cold_total = 0usize;
         for items in [10usize, 20, 30] {
             let m = instances::seeded_knapsack(items, 0xDAC2016);
-            let warm = m
-                .solve(&SolveOptions::default().without_cuts())
-                .expect("warm solve");
+            let warm = m.solve(&SolveOptions::default()).expect("warm solve");
             let cold = m
-                .solve(&SolveOptions::default().without_cuts().cold())
+                .solve(&SolveOptions::default().cold())
                 .expect("cold solve");
             assert_eq!(warm.status, SolveStatus::Optimal);
             assert_eq!(cold.status, SolveStatus::Optimal);
@@ -1657,19 +1539,19 @@ mod tests {
     }
 
     #[test]
-    fn root_cuts_tighten_the_bound_without_changing_the_optimum() {
-        let m = instances::seeded_knapsack(20, 0xC0FFEE);
-        let with_cuts = m.solve(&SolveOptions::default()).expect("cuts on");
-        let without = m
-            .solve(&SolveOptions::default().without_cuts())
-            .expect("cuts off");
-        assert!(
-            (with_cuts.objective - without.objective).abs() < 1e-6,
-            "cuts must not change the optimum: {} vs {}",
-            with_cuts.objective,
-            without.objective
-        );
-        assert!(with_cuts.cuts > 0, "expected root cuts on this instance");
-        assert_eq!(without.cuts, 0);
+    fn cut_rounds_is_ignored() {
+        let m = instances::bench_knapsack(20);
+        let solve = |cut_rounds| {
+            m.solve(&SolveOptions {
+                cut_rounds,
+                ..SolveOptions::default()
+            })
+            .expect("solve")
+        };
+        let (off, on) = (solve(0), solve(5));
+        assert_eq!(off.values, on.values);
+        assert_eq!(off.objective, on.objective);
+        assert_eq!(off.nodes, on.nodes);
+        assert_eq!(off.simplex_iterations, on.simplex_iterations);
     }
 }

@@ -4,8 +4,8 @@
 //! The contract (see `DESIGN.md`): for any model and any thread count the
 //! solver returns the **same optimal objective** and a **valid incumbent**
 //! — the tree shape and which optimal solution is returned may vary, the
-//! value may not. Root Gomory cuts likewise must never change the optimum,
-//! only the effort needed to prove it.
+//! value may not. Presolve, warm starts and pool sharing likewise must
+//! never change the optimum, only the effort needed to prove it.
 
 use proptest::prelude::*;
 use rfic_milp::{
@@ -164,28 +164,6 @@ fn golden_suite_presolve_on_off_equivalence() {
     }
 }
 
-/// Root Gomory cuts must be *equivalence-preserving*: the same optimum with
-/// and without them, across the golden suite.
-#[test]
-fn golden_suite_cuts_on_off_equivalence() {
-    for (name, model) in golden_suite() {
-        let with_cuts = model
-            .solve(&SolveOptions::default())
-            .unwrap_or_else(|e| panic!("{name}: cuts-on solve failed: {e}"));
-        let without = model
-            .solve(&SolveOptions::default().without_cuts())
-            .unwrap_or_else(|e| panic!("{name}: cuts-off solve failed: {e}"));
-        assert!(
-            (with_cuts.objective - without.objective).abs()
-                <= 1e-6 * (1.0 + without.objective.abs()),
-            "{name}: cuts changed the optimum: {} vs {}",
-            with_cuts.objective,
-            without.objective
-        );
-        assert_valid_incumbent(name, &model, &with_cuts);
-    }
-}
-
 /// Pool sharing must be invisible: a tree scheduled on a shared
 /// [`SolverPool`] returns the same objective as a dedicated scoped-thread
 /// solve, for every thread count and *while another tree contends for the
@@ -247,24 +225,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomised determinism property: seeded knapsacks of arbitrary size
-    /// and seed solve to the same objective for 1, 2 and 4 threads, with
-    /// and without cuts.
+    /// and seed solve to the same objective for 1, 2 and 4 threads, warm
+    /// or cold, with and without presolve.
     #[test]
     fn random_knapsack_objective_is_solver_config_invariant(
         items in 8usize..20,
         seed in 0u64..1000,
     ) {
         let model = instances::seeded_knapsack(items, seed);
-        let reference = model.solve(&SolveOptions::default().without_cuts()).expect("plain");
+        let reference = model.solve(&SolveOptions::default()).expect("serial");
         prop_assert_eq!(reference.status, SolveStatus::Optimal);
         let mut configs = vec![
-            SolveOptions::default(),
             SolveOptions::default().cold(),
             SolveOptions::default().without_presolve(),
         ];
         for threads in parallel_thread_counts() {
             configs.push(SolveOptions::default().with_threads(threads));
-            configs.push(SolveOptions::default().without_cuts().with_threads(threads));
         }
         for opts in configs {
             let other = model.solve(&opts).expect("solve");
@@ -281,17 +257,16 @@ proptest! {
         }
     }
 
-    /// Mixed-integer models (continuous columns in the Gomory derivation):
-    /// cuts and threads never change the optimum.
+    /// Mixed-integer models (continuous columns next to the binaries):
+    /// presolve and threads never change the optimum.
     #[test]
     fn random_facility_objective_is_solver_config_invariant(
         facilities in 4usize..9,
         seed in 0u64..500,
     ) {
         let model = instances::seeded_facility(facilities, seed);
-        let reference = model.solve(&SolveOptions::default().without_cuts()).expect("plain");
+        let reference = model.solve(&SolveOptions::default()).expect("serial");
         let mut configs = vec![
-            SolveOptions::default(),
             SolveOptions::default().without_presolve(),
         ];
         if let Some(&threads) = parallel_thread_counts().last() {
