@@ -25,6 +25,5 @@ pub mod maze;
 pub mod reference;
 pub mod sequential;
 
-pub use manual::manual_layout;
 pub use reference::{published_table1, PublishedRow};
 pub use sequential::{sequential_layout, SequentialOptions};

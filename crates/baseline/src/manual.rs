@@ -5,11 +5,11 @@
 //! bends and one to two weeks of iteration (Section 1 of the paper). For the
 //! synthetic benchmark circuits this behaviour is captured by the
 //! generator's witness layout — a feasible, length-exact, meander-heavy
-//! layout — which this module converts into a [`Layout`].
+//! layout — which [`Layout::from_witness`] turns into a [`Layout`].
 
 use std::time::Duration;
 
-use rfic_core::{Layout, LayoutReport, Placement};
+use rfic_core::{Layout, LayoutReport};
 use rfic_netlist::generator::GeneratedCircuit;
 
 /// The assumed wall-clock effort of a manual layout iteration loop, used
@@ -17,64 +17,34 @@ use rfic_netlist::generator::GeneratedCircuit;
 /// paper). One week of engineering time.
 pub const MANUAL_DESIGN_TIME: Duration = Duration::from_secs(7 * 24 * 3600);
 
-/// Converts a generated circuit's witness into the manual-style baseline
-/// layout.
-///
-/// # Examples
-///
-/// ```
-/// use rfic_baseline::manual_layout;
-/// use rfic_netlist::benchmarks;
-///
-/// let circuit = benchmarks::small_circuit();
-/// let layout = manual_layout(&circuit);
-/// assert!(layout.is_complete(&circuit.netlist));
-/// assert!(layout.max_length_error(&circuit.netlist) < 1e-6);
-/// ```
-pub fn manual_layout(circuit: &GeneratedCircuit) -> Layout {
-    Layout {
-        area: circuit.netlist.area(),
-        placements: circuit
-            .witness
-            .placements
-            .iter()
-            .map(|(&id, &(center, rotation))| (id, Placement { center, rotation }))
-            .collect(),
-        routes: circuit.witness.routes.clone(),
-    }
-}
-
 /// Builds the Table-1 style quality report of the manual baseline, with the
 /// runtime column set to [`MANUAL_DESIGN_TIME`] per week of assumed manual
 /// effort.
 pub fn manual_report(circuit: &GeneratedCircuit, weeks: u32) -> LayoutReport {
-    let layout = manual_layout(circuit);
+    let layout = Layout::from_witness(circuit);
     LayoutReport::new(&circuit.netlist, &layout, MANUAL_DESIGN_TIME * weeks.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfic_core::{drc_check, DrcOptions};
     use rfic_netlist::benchmarks;
 
     #[test]
-    fn manual_layout_is_complete_exact_and_clean() {
+    fn manual_report_is_exact_and_clean() {
         for circuit in [benchmarks::tiny_circuit(), benchmarks::small_circuit()] {
-            let layout = manual_layout(&circuit);
-            assert!(layout.is_complete(&circuit.netlist));
-            assert!(layout.max_length_error(&circuit.netlist) < 1e-6);
-            let drc = drc_check(&circuit.netlist, &layout, &DrcOptions::default());
-            assert!(drc.is_clean(), "{drc}");
+            let report = manual_report(&circuit, 1);
+            assert!(report.lengths_matched(1e-6));
+            assert!(report.drc_clean, "{report}");
         }
     }
 
     #[test]
-    fn manual_layout_has_the_meander_bends() {
+    fn manual_report_has_the_meander_bends() {
         let circuit = benchmarks::small_circuit();
-        let layout = manual_layout(&circuit);
-        assert_eq!(layout.total_bends(), circuit.witness.total_bends());
-        assert!(layout.total_bends() > 0);
+        let report = manual_report(&circuit, 1);
+        assert_eq!(report.total_bends, circuit.witness.total_bends());
+        assert!(report.total_bends > 0);
     }
 
     #[test]

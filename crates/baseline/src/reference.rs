@@ -3,10 +3,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// One published row of Table 1 (one circuit at one area setting).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PublishedRow {
     /// Circuit name as printed in the paper.
     pub circuit: &'static str,

@@ -16,12 +16,11 @@ use rand::SeedableRng;
 use rfic_core::{Layout, Placement};
 use rfic_geom::{Point, Polyline};
 use rfic_netlist::Netlist;
-use serde::{Deserialize, Serialize};
 
 use crate::maze::RoutingGrid;
 
 /// Options of the sequential baseline flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequentialOptions {
     /// Routing grid pitch, µm.
     pub grid_pitch: f64,

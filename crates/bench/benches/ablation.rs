@@ -10,31 +10,10 @@ use rfic_geom::Point;
 use rfic_milp::SolveOptions;
 use rfic_netlist::benchmarks;
 
-fn witness_layout(circuit: &rfic_netlist::generator::GeneratedCircuit) -> Layout {
-    Layout {
-        area: circuit.netlist.area(),
-        placements: circuit
-            .witness
-            .placements
-            .iter()
-            .map(|(&id, &(p, r))| {
-                (
-                    id,
-                    Placement {
-                        center: p,
-                        rotation: r,
-                    },
-                )
-            })
-            .collect(),
-        routes: circuit.witness.routes.clone(),
-    }
-}
-
 fn bench_chain_point_budget(c: &mut Criterion) {
     let circuit = benchmarks::tiny_circuit();
     let netlist = circuit.netlist.clone();
-    let base = witness_layout(&circuit);
+    let base = Layout::from_witness(&circuit);
     let strip = netlist.microstrips()[0].id;
     let mut group = c.benchmark_group("ablation_chain_points_model_build");
     for n in [3usize, 5, 7, 9] {
@@ -56,7 +35,7 @@ fn bench_chain_point_budget(c: &mut Criterion) {
 fn bench_blurred_vs_exact_phase(c: &mut Criterion) {
     let circuit = benchmarks::tiny_circuit();
     let netlist = circuit.netlist.clone();
-    let base = witness_layout(&circuit);
+    let base = Layout::from_witness(&circuit);
     let strip = netlist.microstrips()[0].id;
     let opts = SolveOptions::with_time_limit(Duration::from_secs(10));
 

@@ -3,7 +3,8 @@
 //! paper simulates (94 GHz LNA and 60 GHz buffer).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rfic_bench::{manual_layout_of, run_figure11_series};
+use rfic_bench::run_figure11_series;
+use rfic_core::Layout;
 use rfic_em::{frequency_sweep, MicrostripModel};
 use rfic_netlist::benchmarks::BenchmarkCircuit;
 use rfic_netlist::Technology;
@@ -24,7 +25,7 @@ fn bench_sweeps(c: &mut Criterion) {
     group.sample_size(20);
     for bench in [BenchmarkCircuit::Lna94Ghz, BenchmarkCircuit::Buffer60Ghz] {
         let circuit = bench.circuit();
-        let layout = manual_layout_of(&circuit);
+        let layout = Layout::from_witness(&circuit);
         let f0 = bench.operating_frequency_ghz();
         group.bench_function(bench.name().replace(' ', "_"), |b| {
             b.iter(|| {

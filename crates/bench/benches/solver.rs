@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rfic_bench::workloads::random_lp;
-use rfic_core::{IlpConfig, Layout, LayoutIlp, Placement};
+use rfic_core::{IlpConfig, Layout, LayoutIlp};
 use rfic_lp::PricingRule;
 use rfic_milp::{instances, Model, SolveOptions};
 use rfic_netlist::benchmarks;
@@ -425,24 +425,7 @@ fn bench_milp_dual_pricing(c: &mut Criterion) {
 fn bench_strip_ilp(c: &mut Criterion) {
     let circuit = benchmarks::tiny_circuit();
     let netlist = circuit.netlist.clone();
-    let base = Layout {
-        area: netlist.area(),
-        placements: circuit
-            .witness
-            .placements
-            .iter()
-            .map(|(&id, &(p, r))| {
-                (
-                    id,
-                    Placement {
-                        center: p,
-                        rotation: r,
-                    },
-                )
-            })
-            .collect(),
-        routes: circuit.witness.routes.clone(),
-    };
+    let base = Layout::from_witness(&circuit);
     let strip = netlist.microstrips()[0].id;
 
     let mut group = c.benchmark_group("layout_ilp");

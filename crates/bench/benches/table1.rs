@@ -7,9 +7,8 @@
 //! therefore lives in the `table1` binary rather than in Criterion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rfic_baseline::{manual_layout, sequential_layout, SequentialOptions};
-use rfic_bench::manual_layout_of;
-use rfic_core::{drc_check, DrcOptions, LayoutReport};
+use rfic_baseline::{sequential_layout, SequentialOptions};
+use rfic_core::{drc_check, DrcOptions, Layout, LayoutReport};
 use rfic_netlist::benchmarks::BenchmarkCircuit;
 use std::time::Duration;
 
@@ -29,7 +28,7 @@ fn bench_manual_baseline(c: &mut Criterion) {
         let circuit = bench.circuit();
         group.bench_function(bench.name().replace(' ', "_"), |b| {
             b.iter(|| {
-                let layout = manual_layout(&circuit);
+                let layout = Layout::from_witness(&circuit);
                 LayoutReport::new(&circuit.netlist, &layout, Duration::ZERO)
             });
         });
@@ -53,7 +52,7 @@ fn bench_drc(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_drc_check");
     for bench in BenchmarkCircuit::ALL {
         let circuit = bench.circuit();
-        let layout = manual_layout_of(&circuit);
+        let layout = Layout::from_witness(&circuit);
         group.bench_function(bench.name().replace(' ', "_"), |b| {
             b.iter(|| drc_check(&circuit.netlist, &layout, &DrcOptions::default()));
         });

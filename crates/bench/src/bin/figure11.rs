@@ -10,8 +10,8 @@
 //! ```
 
 use rfic_baseline::reference::published_figure11_gains;
-use rfic_bench::{manual_layout_of, run_figure11_series, Effort};
-use rfic_core::Pilp;
+use rfic_bench::{run_figure11_series, Effort};
+use rfic_core::{Layout, Pilp};
 use rfic_netlist::benchmarks::{self, BenchmarkCircuit};
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
 
     for (circuit, f0, is_buffer, name) in cases {
         println!("=== Figure 11: {name} (f0 = {f0} GHz) ===");
-        let manual = manual_layout_of(&circuit);
+        let manual = Layout::from_witness(&circuit);
         let manual_series = run_figure11_series(&circuit.netlist, &manual, "Manual", f0, is_buffer);
 
         eprintln!("running P-ILP on {name} ...");

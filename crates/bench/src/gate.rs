@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use rfic_core::{PilpResult, SolverTotals};
 use rfic_netlist::json::{self, Json};
 
 /// One benchmark measurement.
@@ -21,25 +22,13 @@ pub struct BenchRecord {
     pub name: String,
     /// Mean wall-clock time per iteration, nanoseconds.
     pub mean_ns: f64,
-    /// Minimum per-iteration time, nanoseconds (0 when the file predates
-    /// the field). This is what the gate compares: noise — host steal,
-    /// scheduler jitter — only ever *adds* time, so the minimum tracks the
-    /// true compute cost while the mean swings wildly on shared runners.
+    /// Minimum per-iteration time, nanoseconds. This is what the gate
+    /// compares: noise — host steal, scheduler jitter — only ever *adds*
+    /// time, so the minimum tracks the true compute cost while the mean
+    /// swings wildly on shared runners.
     pub min_ns: f64,
     /// Number of measured iterations.
     pub iterations: u64,
-}
-
-impl BenchRecord {
-    /// The statistic the gate compares: the per-iteration minimum when
-    /// recorded, the mean for legacy files.
-    pub fn gate_ns(&self) -> f64 {
-        if self.min_ns > 0.0 {
-            self.min_ns
-        } else {
-            self.mean_ns
-        }
-    }
 }
 
 /// Outcome of one baseline/current pair.
@@ -47,9 +36,9 @@ impl BenchRecord {
 pub struct GateEntry {
     /// Benchmark id.
     pub name: String,
-    /// Baseline mean, ns.
+    /// Baseline per-iteration minimum, ns.
     pub baseline_ns: f64,
-    /// Current mean, ns.
+    /// Current per-iteration minimum, ns.
     pub current_ns: f64,
     /// `current / baseline` ratio.
     pub ratio: f64,
@@ -101,8 +90,9 @@ impl GateReport {
     }
 }
 
-/// Parses the `{"benchmarks": [{"name": …, "mean_ns": …, "iterations": …}]}`
-/// format written by the vendored criterion stub.
+/// Parses the `{"benchmarks": [{"name": …, "mean_ns": …, "min_ns": …,
+/// "iterations": …}]}` format written by the vendored criterion stub.
+/// Every key is required.
 pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
     let doc = json::parse(text)?;
     let records = record_objects(&doc, "benchmarks")?
@@ -111,9 +101,7 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
             Ok(BenchRecord {
                 name: string_field(object, "name")?,
                 mean_ns: number_field(object, "mean_ns")?,
-                // Absent in files predating the field: the gate then falls
-                // back to the mean.
-                min_ns: optional_number(object, "min_ns"),
+                min_ns: number_field(object, "min_ns")?,
                 iterations: number_field(object, "iterations")? as u64,
             })
         })
@@ -146,12 +134,6 @@ fn number_field(object: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing number {key}"))
 }
 
-/// A number added to the format after the first committed baselines:
-/// absent keys read as zero so older files still load.
-fn optional_number(object: &Json, key: &str) -> f64 {
-    object.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
 /// `true` for benchmarks that only measure something meaningful with more
 /// than one hardware thread (the `milp_parallel/*` thread-count sweep).
 /// On a single-core runner the pool can never beat the one-thread dive, so
@@ -174,9 +156,8 @@ pub fn strip_parallel_only(records: &mut Vec<BenchRecord>) -> Vec<String> {
     removed
 }
 
-/// Diffs `current` against `baseline` on the gate statistic
-/// ([`BenchRecord::gate_ns`]: per-iteration minimum, mean for legacy
-/// files).
+/// Diffs `current` against `baseline` on the per-iteration minimum
+/// ([`BenchRecord::min_ns`]).
 ///
 /// A benchmark counts as a regression when the statistic grew by more than
 /// `threshold_pct` percent **and** by more than `min_abs_ns` nanoseconds
@@ -194,7 +175,7 @@ pub fn compare(
             report.missing.push(base.name.clone());
             continue;
         };
-        let (base_ns, cur_ns) = (base.gate_ns(), cur.gate_ns());
+        let (base_ns, cur_ns) = (base.min_ns, cur.min_ns);
         let entry = GateEntry {
             name: base.name.clone(),
             baseline_ns: base_ns,
@@ -306,58 +287,111 @@ pub fn write_target_artifact(file_name: &str, content: &str) -> String {
 
 // --- flow-level gate --------------------------------------------------------
 
-/// One end-to-end flow measurement (the tiny-circuit P-ILP run): the
-/// quality and solver-work numbers the flow gate protects.
-#[derive(Debug, Clone, PartialEq)]
+/// One end-to-end flow measurement: the quality and solver-work numbers
+/// the flow gate protects, summed over every layout the measurement ran
+/// (one flow, several concurrent jobs, or a sweep's variants).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowRecord {
-    /// Flow id (circuit name).
+    /// Measurement id (circuit name plus the job or variant count).
     pub name: String,
-    /// Wall-clock time of the whole flow, milliseconds.
+    /// Wall-clock time of the whole measurement, milliseconds.
     pub wall_ms: f64,
-    /// Number of microstrips in the circuit.
-    pub strips: u64,
-    /// Strips that reached their exact target length (|error| < 1 nm·10³,
-    /// i.e. the flow's own `rfic_core::drc::LENGTH_TOLERANCE_UM`).
-    pub exact_lengths: u64,
-    /// Total 90° bends over all strips.
-    pub total_bends: u64,
-    /// Largest absolute length error, µm.
+    /// Microstrips over every layout.
+    pub strips: usize,
+    /// Strips that reached their exact target length
+    /// ([`rfic_core::LayoutReport::exact_lengths`]).
+    pub exact_lengths: usize,
+    /// 90° bends over every layout.
+    pub total_bends: usize,
+    /// Largest absolute length error of any layout, µm.
     pub max_length_error_um: f64,
-    /// DRC violations of the final layout.
-    pub drc_violations: u64,
-    /// Branch-and-bound nodes summed over every MILP solve of the run.
-    pub bnb_nodes: u64,
-    /// Individual MILP solves issued by the flow.
-    pub solves: u64,
-    /// Simplex pivots summed over every node LP.
-    pub simplex_iterations: u64,
-    /// Constraint rows removed by root presolve, summed over every MILP
-    /// solve of the run (0 for baselines predating the presolve layer).
-    pub presolve_rows_removed: u64,
-    /// Columns removed by root presolve, summed over every MILP solve.
-    pub presolve_cols_removed: u64,
-    /// Nonzero coefficients removed by root presolve, summed over every
-    /// MILP solve.
-    pub presolve_nonzeros_removed: u64,
-    /// Fallback-ladder re-solves attempted after a numerical failure
-    /// (0 on a healthy run — the ladder is compiled in but idle).
-    pub fallback_attempts: u64,
-    /// Fallback-ladder re-solves that recovered an optimal result.
-    pub fallback_recoveries: u64,
+    /// DRC violations over every layout.
+    pub drc_violations: usize,
+    /// Solver work summed over every layout (`solves`, `bnb_nodes`,
+    /// `simplex_iterations`, the presolve and fallback counters).
+    pub totals: SolverTotals,
     /// Completed layout requests per second for concurrent-throughput
     /// records (several jobs multiplexed over one shared solver pool);
-    /// `0` for single-flow records and baselines predating the job API.
+    /// `0` otherwise.
     pub requests_per_sec: f64,
     /// Number of variants for parameter-sweep records (one batched
-    /// sweep whose `wall_ms` and counters sum over every variant); `0`
-    /// for non-sweep records and baselines predating sweeps.
-    pub sweep_variants: u64,
+    /// sweep); `0` otherwise.
+    pub sweep_variants: usize,
+}
+
+impl FlowRecord {
+    /// Folds finished layouts into one record: strips, exact lengths,
+    /// bends, DRC violations and solver totals are summed, the length
+    /// error is the worst one. Fails on the first layout that is not
+    /// length-exact on every strip and DRC-clean.
+    pub fn from_results(
+        name: impl Into<String>,
+        wall_ms: f64,
+        results: &[PilpResult],
+    ) -> Result<FlowRecord, String> {
+        let mut record = FlowRecord {
+            name: name.into(),
+            wall_ms,
+            ..FlowRecord::default()
+        };
+        for (i, result) in results.iter().enumerate() {
+            let report = result.report();
+            let exact = report.exact_lengths();
+            if exact < report.strips.len() || report.drc_violations > 0 {
+                return Err(format!(
+                    "{} result {i}: {exact}/{} exact lengths, {} DRC violations",
+                    record.name,
+                    report.strips.len(),
+                    report.drc_violations
+                ));
+            }
+            record.strips += report.strips.len();
+            record.exact_lengths += exact;
+            record.total_bends += report.total_bends;
+            record.max_length_error_um = record.max_length_error_um.max(report.max_length_error);
+            record.drc_violations += report.drc_violations;
+            record.totals += result.solver;
+        }
+        Ok(record)
+    }
+}
+
+impl fmt::Display for FlowRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = &self.totals;
+        write!(
+            f,
+            "{}: wall {:.0} ms, {}/{} exact lengths, {} bends, max |ΔL| {:.3} µm, \
+             {} DRC violations, {} B&B nodes over {} solves ({} pivots); presolve removed \
+             {} rows, {} cols, {} nonzeros; {} fallback re-solves ({} recovered)",
+            self.name,
+            self.wall_ms,
+            self.exact_lengths,
+            self.strips,
+            self.total_bends,
+            self.max_length_error_um,
+            self.drc_violations,
+            t.nodes,
+            t.solves,
+            t.simplex_iterations,
+            t.presolve_rows_removed,
+            t.presolve_cols_removed,
+            t.presolve_nonzeros_removed,
+            t.fallback_attempts,
+            t.fallback_recoveries,
+        )?;
+        if self.requests_per_sec > 0.0 {
+            write!(f, ", {:.3} requests/sec", self.requests_per_sec)?;
+        }
+        Ok(())
+    }
 }
 
 /// Serialises flow records in the committed `BENCH_flow.json` format.
 pub fn flow_json(records: &[FlowRecord]) -> String {
     let mut out = String::from("{\n  \"flows\": [\n");
     for (i, r) in records.iter().enumerate() {
+        let t = &r.totals;
         out.push_str(&format!(
             "    {{ \"name\": \"{}\", \"wall_ms\": {:.1}, \"strips\": {}, \"exact_lengths\": {}, \
              \"total_bends\": {}, \"max_length_error_um\": {:.6}, \"drc_violations\": {}, \
@@ -373,14 +407,14 @@ pub fn flow_json(records: &[FlowRecord]) -> String {
             r.total_bends,
             r.max_length_error_um,
             r.drc_violations,
-            r.bnb_nodes,
-            r.solves,
-            r.simplex_iterations,
-            r.presolve_rows_removed,
-            r.presolve_cols_removed,
-            r.presolve_nonzeros_removed,
-            r.fallback_attempts,
-            r.fallback_recoveries,
+            t.nodes,
+            t.solves,
+            t.simplex_iterations,
+            t.presolve_rows_removed,
+            t.presolve_cols_removed,
+            t.presolve_nonzeros_removed,
+            t.fallback_attempts,
+            t.fallback_recoveries,
             r.requests_per_sec,
             r.sweep_variants,
             if i + 1 < records.len() { "," } else { "" },
@@ -390,14 +424,14 @@ pub fn flow_json(records: &[FlowRecord]) -> String {
     out
 }
 
-/// Parses the `BENCH_flow.json` format written by [`flow_json`].
+/// Parses the `BENCH_flow.json` format written by [`flow_json`]. Every
+/// key is required.
 pub fn parse_flow_json(text: &str) -> Result<Vec<FlowRecord>, String> {
     let doc = json::parse(text)?;
     let records = record_objects(&doc, "flows")?
         .iter()
         .map(|object| {
-            let count = |key| number_field(object, key).map(|v| v as u64);
-            let optional_count = |key| optional_number(object, key) as u64;
+            let count = |key| number_field(object, key).map(|v| v as usize);
             Ok(FlowRecord {
                 name: string_field(object, "name")?,
                 wall_ms: number_field(object, "wall_ms")?,
@@ -406,18 +440,19 @@ pub fn parse_flow_json(text: &str) -> Result<Vec<FlowRecord>, String> {
                 total_bends: count("total_bends")?,
                 max_length_error_um: number_field(object, "max_length_error_um")?,
                 drc_violations: count("drc_violations")?,
-                bnb_nodes: count("bnb_nodes")?,
-                solves: count("solves")?,
-                simplex_iterations: count("simplex_iterations")?,
-                // Presolve, fallback-ladder, throughput and sweep fields
-                // arrived after the first committed baselines.
-                presolve_rows_removed: optional_count("presolve_rows_removed"),
-                presolve_cols_removed: optional_count("presolve_cols_removed"),
-                presolve_nonzeros_removed: optional_count("presolve_nonzeros_removed"),
-                fallback_attempts: optional_count("fallback_attempts"),
-                fallback_recoveries: optional_count("fallback_recoveries"),
-                requests_per_sec: optional_number(object, "requests_per_sec"),
-                sweep_variants: optional_count("sweep_variants"),
+                totals: SolverTotals {
+                    solves: count("solves")?,
+                    nodes: count("bnb_nodes")?,
+                    simplex_iterations: count("simplex_iterations")?,
+                    presolve_rows_removed: count("presolve_rows_removed")?,
+                    presolve_cols_removed: count("presolve_cols_removed")?,
+                    presolve_nonzeros_removed: count("presolve_nonzeros_removed")?,
+                    fallback_attempts: count("fallback_attempts")?,
+                    fallback_recoveries: count("fallback_recoveries")?,
+                    ..SolverTotals::default()
+                },
+                requests_per_sec: number_field(object, "requests_per_sec")?,
+                sweep_variants: count("sweep_variants")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -446,15 +481,12 @@ impl FlowGateReport {
 /// Gates a fresh flow run against the committed baseline.
 ///
 /// Two failure classes, per the CI contract:
-/// * **quality**: a flow that no longer reaches exact length on every
-///   strip (`exact_lengths < strips`) fails outright — the headline
-///   3/3-exact result must never silently rot;
+/// * **quality**: a record that is not exact on every strip
+///   (`exact_lengths < strips`) or not DRC-clean fails outright — the
+///   headline 3/3-exact, clean result must never silently rot;
 /// * **wall time**: a flow slower than baseline by more than
 ///   `threshold_pct` percent *and* more than `min_abs_ms` milliseconds
 ///   (the absolute floor filters scheduler noise on short flows).
-///
-/// Sweep records (`sweep_variants > 0`) must also be DRC-clean in every
-/// variant.
 ///
 /// Baseline flows missing from the current run fail; current flows absent
 /// from the baseline are reported as notes.
@@ -472,9 +504,9 @@ pub fn flow_gate(
                 cur.name, cur.exact_lengths, cur.strips
             ));
         }
-        if cur.sweep_variants > 0 && cur.drc_violations > 0 {
+        if cur.drc_violations > 0 {
             report.failures.push(format!(
-                "{}: sweep produced {} DRC violations",
+                "{}: {} DRC violations",
                 cur.name, cur.drc_violations
             ));
         }
@@ -507,8 +539,8 @@ pub fn flow_gate(
                         cur.name,
                         cur.wall_ms,
                         base.wall_ms,
-                        cur.bnb_nodes,
-                        base.bnb_nodes,
+                        cur.totals.nodes,
+                        base.totals.nodes,
                         cur.total_bends,
                         base.total_bends,
                         throughput
@@ -539,15 +571,6 @@ mod tests {
 }
 "#;
 
-    /// A pre-`min_ns` baseline file (the PR 1 format).
-    const LEGACY_SAMPLE: &str = r#"{
-  "benchmarks": [
-    { "name": "old/one", "mean_ns": 100.0, "iterations": 20 },
-    { "name": "new/two", "mean_ns": 200.0, "min_ns": 150.0, "iterations": 20 }
-  ]
-}
-"#;
-
     fn record(name: &str, mean_ns: f64) -> BenchRecord {
         BenchRecord {
             name: name.into(),
@@ -565,18 +588,6 @@ mod tests {
         assert!((records[0].mean_ns - 18766.6).abs() < 1e-9);
         assert!((records[0].min_ns - 17000.5).abs() < 1e-9);
         assert_eq!(records[1].iterations, 20);
-    }
-
-    #[test]
-    fn legacy_files_fall_back_to_the_mean() {
-        let records = parse_bench_json(LEGACY_SAMPLE).expect("parse");
-        assert_eq!(records[0].min_ns, 0.0, "absent min_ns stays zero");
-        assert_eq!(records[0].gate_ns(), 100.0, "gate falls back to mean");
-        assert_eq!(
-            records[1].gate_ns(),
-            150.0,
-            "min_ns of the next record must not leak into the previous one"
-        );
     }
 
     #[test]
@@ -688,25 +699,23 @@ mod tests {
         assert!(table.contains("group/fresh"), "{table}");
     }
 
-    fn flow(name: &str, wall_ms: f64, exact: u64) -> FlowRecord {
+    fn flow(name: &str, wall_ms: f64, exact: usize) -> FlowRecord {
         FlowRecord {
             name: name.into(),
             wall_ms,
             strips: 3,
             exact_lengths: exact,
             total_bends: 4,
-            max_length_error_um: 0.0,
-            drc_violations: 0,
-            bnb_nodes: 1000,
-            solves: 40,
-            simplex_iterations: 9000,
-            presolve_rows_removed: 120,
-            presolve_cols_removed: 60,
-            presolve_nonzeros_removed: 400,
-            fallback_attempts: 0,
-            fallback_recoveries: 0,
-            requests_per_sec: 0.0,
-            sweep_variants: 0,
+            totals: SolverTotals {
+                solves: 40,
+                nodes: 1000,
+                simplex_iterations: 9000,
+                presolve_rows_removed: 120,
+                presolve_cols_removed: 60,
+                presolve_nonzeros_removed: 400,
+                ..SolverTotals::default()
+            },
+            ..FlowRecord::default()
         }
     }
 
@@ -720,24 +729,25 @@ mod tests {
         assert!(parse_flow_json("{}").is_err());
     }
 
-    /// Baselines committed before the presolve layer have no presolve
-    /// keys; they must still parse (counters default to zero).
+    /// Both formats require every key: a record without `min_ns`, or a
+    /// flow record without one of its counters, is rejected by name.
     #[test]
-    fn flow_json_without_presolve_keys_still_parses() {
-        let legacy = r#"{
-  "flows": [
-    { "name": "tiny", "wall_ms": 7824.2, "strips": 3, "exact_lengths": 3, "total_bends": 4, "max_length_error_um": 0.000000, "drc_violations": 0, "bnb_nodes": 1000, "solves": 40, "simplex_iterations": 9000 }
-  ]
-}
-"#;
-        let parsed = parse_flow_json(legacy).expect("parse legacy");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].presolve_rows_removed, 0);
-        assert_eq!(parsed[0].presolve_cols_removed, 0);
-        assert_eq!(parsed[0].presolve_nonzeros_removed, 0);
-        assert_eq!(parsed[0].fallback_attempts, 0);
-        assert_eq!(parsed[0].fallback_recoveries, 0);
-        assert_eq!(parsed[0].requests_per_sec, 0.0);
+    fn records_missing_a_key_are_rejected_by_name() {
+        let no_min = r#"{ "benchmarks": [ { "name": "a", "mean_ns": 100.0, "iterations": 20 } ] }"#;
+        let err = parse_bench_json(no_min).unwrap_err();
+        assert!(err.contains("min_ns"), "{err}");
+
+        let text = flow_json(&[flow("tiny", 7000.0, 3)]);
+        for key in [
+            "bnb_nodes",
+            "presolve_rows_removed",
+            "fallback_recoveries",
+            "sweep_variants",
+        ] {
+            let without = text.replace(&format!("\"{key}\""), "\"renamed\"");
+            let err = parse_flow_json(&without).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
     }
 
     /// Throughput records (the concurrent-jobs measurement) round-trip
@@ -763,9 +773,9 @@ mod tests {
     }
 
     /// Sweep records round-trip their variant count, and a DRC violation
-    /// in any variant fails the gate.
+    /// fails the gate on any record, sweep or single flow.
     #[test]
-    fn flow_gate_fails_a_dirty_sweep() {
+    fn flow_gate_fails_a_dirty_record() {
         let mut record = flow("tiny sweep x8", 10_000.0, 24);
         record.strips = 24;
         record.sweep_variants = 8;
@@ -777,14 +787,17 @@ mod tests {
         let report = flow_gate(&[], std::slice::from_ref(&record), 30.0, 2_000.0);
         assert!(report.ok(), "{:?}", report.failures);
 
-        let mut dirty = record.clone();
-        dirty.drc_violations = 1;
-        let report = flow_gate(std::slice::from_ref(&record), &[dirty], 30.0, 2_000.0);
-        assert!(
-            report.failures.iter().any(|f| f.contains("DRC")),
-            "{:?}",
-            report.failures
-        );
+        for clean in [record, flow("tiny", 7000.0, 3)] {
+            let mut dirty = clean.clone();
+            dirty.drc_violations = 1;
+            let report = flow_gate(std::slice::from_ref(&clean), &[dirty], 30.0, 2_000.0);
+            assert!(
+                report.failures.iter().any(|f| f.contains("DRC")),
+                "{}: {:?}",
+                clean.name,
+                report.failures
+            );
+        }
     }
 
     #[test]

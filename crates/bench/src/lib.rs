@@ -20,7 +20,7 @@ pub mod workloads;
 
 use std::time::Duration;
 
-use rfic_baseline::manual::{manual_layout, manual_report};
+use rfic_baseline::manual::manual_report;
 use rfic_core::{ComparisonRow, Layout, LayoutReport, Pilp, PilpConfig};
 use rfic_em::{evaluate_layout, frequency_sweep, AmplifierSpec, SweepPoint};
 use rfic_netlist::benchmarks::{AreaSetting, BenchmarkCircuit};
@@ -211,12 +211,6 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
     out
 }
 
-/// Convenience used by benches and binaries: the manual layout of a
-/// generated circuit.
-pub fn manual_layout_of(circuit: &GeneratedCircuit) -> Layout {
-    manual_layout(circuit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +242,7 @@ mod tests {
     #[test]
     fn figure11_series_evaluates_the_manual_layout() {
         let circuit = rfic_netlist::benchmarks::small_circuit();
-        let layout = manual_layout_of(&circuit);
+        let layout = Layout::from_witness(&circuit);
         let series = run_figure11_series(&circuit.netlist, &layout, "Manual", 60.0, false);
         assert_eq!(series.points.len(), 41);
         assert!(series.gain_at_f0_db.is_finite());

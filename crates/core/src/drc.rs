@@ -450,23 +450,10 @@ mod tests {
     use rfic_geom::Polyline;
     use rfic_netlist::benchmarks;
 
-    fn witness_layout(circuit: &rfic_netlist::generator::GeneratedCircuit) -> Layout {
-        Layout {
-            area: circuit.netlist.area(),
-            placements: circuit
-                .witness
-                .placements
-                .iter()
-                .map(|(&id, &(center, rotation))| (id, Placement { center, rotation }))
-                .collect(),
-            routes: circuit.witness.routes.clone(),
-        }
-    }
-
     #[test]
     fn witness_layouts_are_drc_clean() {
         for circuit in [benchmarks::tiny_circuit(), benchmarks::small_circuit()] {
-            let layout = witness_layout(&circuit);
+            let layout = Layout::from_witness(&circuit);
             let report = check(&circuit.netlist, &layout, &DrcOptions::default());
             assert!(report.is_clean(), "witness should be clean:\n{report}");
         }
@@ -476,7 +463,7 @@ mod tests {
     fn benchmark_witnesses_are_drc_clean() {
         for bench in rfic_netlist::benchmarks::BenchmarkCircuit::ALL {
             let circuit = bench.circuit();
-            let layout = witness_layout(&circuit);
+            let layout = Layout::from_witness(&circuit);
             let report = check(&circuit.netlist, &layout, &DrcOptions::default());
             assert!(
                 report.is_clean(),
@@ -488,7 +475,7 @@ mod tests {
     #[test]
     fn length_mismatch_is_detected() {
         let circuit = benchmarks::tiny_circuit();
-        let mut layout = witness_layout(&circuit);
+        let mut layout = Layout::from_witness(&circuit);
         let strip = circuit.netlist.microstrips()[0].id;
         // Stretch the route's final point to break the length.
         let route = layout.routes.get_mut(&strip).unwrap();
@@ -510,7 +497,7 @@ mod tests {
     #[test]
     fn missing_objects_are_detected() {
         let circuit = benchmarks::tiny_circuit();
-        let mut layout = witness_layout(&circuit);
+        let mut layout = Layout::from_witness(&circuit);
         let strip = circuit.netlist.microstrips()[0].id;
         let device = circuit.netlist.devices()[0].id;
         layout.routes.remove(&strip);
@@ -529,7 +516,7 @@ mod tests {
     #[test]
     fn device_overlap_is_detected() {
         let circuit = benchmarks::tiny_circuit();
-        let mut layout = witness_layout(&circuit);
+        let mut layout = Layout::from_witness(&circuit);
         // Move one non-pad device on top of another.
         let devs: Vec<_> = circuit.netlist.non_pad_devices().collect();
         let a = devs[0].id;
@@ -546,7 +533,7 @@ mod tests {
     #[test]
     fn pad_off_boundary_is_detected() {
         let circuit = benchmarks::tiny_circuit();
-        let mut layout = witness_layout(&circuit);
+        let mut layout = Layout::from_witness(&circuit);
         let pad = circuit.netlist.pads().next().unwrap().id;
         let p = layout.placements[&pad];
         layout.placements.insert(

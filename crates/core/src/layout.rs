@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use rfic_geom::{equivalent_length, Point, Polyline, Rect, Rotation, Segment};
+use rfic_netlist::generator::GeneratedCircuit;
 use rfic_netlist::{DeviceId, MicrostripId, Netlist};
 use serde::{Deserialize, Serialize};
 
@@ -47,6 +48,34 @@ impl Layout {
         Layout {
             area,
             ..Layout::default()
+        }
+    }
+
+    /// The generator's witness of `circuit` as a layout: feasible,
+    /// length-exact and meander-heavy, it is also the manual-style
+    /// baseline of Table 1.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rfic_core::Layout;
+    /// use rfic_netlist::benchmarks;
+    ///
+    /// let circuit = benchmarks::small_circuit();
+    /// let layout = Layout::from_witness(&circuit);
+    /// assert!(layout.is_complete(&circuit.netlist));
+    /// assert!(layout.max_length_error(&circuit.netlist) < 1e-6);
+    /// ```
+    pub fn from_witness(circuit: &GeneratedCircuit) -> Layout {
+        Layout {
+            area: circuit.netlist.area(),
+            placements: circuit
+                .witness
+                .placements
+                .iter()
+                .map(|(&id, &(center, rotation))| (id, Placement { center, rotation }))
+                .collect(),
+            routes: circuit.witness.routes.clone(),
         }
     }
 
@@ -176,16 +205,7 @@ mod tests {
 
     fn witness_layout() -> (Netlist, Layout) {
         let c = benchmarks::small_circuit();
-        let layout = Layout {
-            area: (c.netlist.area().0, c.netlist.area().1),
-            placements: c
-                .witness
-                .placements
-                .iter()
-                .map(|(&id, &(center, rotation))| (id, Placement { center, rotation }))
-                .collect(),
-            routes: c.witness.routes.clone(),
-        };
+        let layout = Layout::from_witness(&c);
         (c.netlist, layout)
     }
 

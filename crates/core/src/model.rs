@@ -1125,27 +1125,6 @@ mod tests {
     use rfic_netlist::benchmarks;
     use std::time::Duration;
 
-    fn base_from_witness(circuit: &rfic_netlist::generator::GeneratedCircuit) -> Layout {
-        Layout {
-            area: circuit.netlist.area(),
-            placements: circuit
-                .witness
-                .placements
-                .iter()
-                .map(|(&id, &(c, r))| {
-                    (
-                        id,
-                        Placement {
-                            center: c,
-                            rotation: r,
-                        },
-                    )
-                })
-                .collect(),
-            routes: circuit.witness.routes.clone(),
-        }
-    }
-
     fn opts() -> SolveOptions {
         SolveOptions::with_time_limit(Duration::from_secs(20))
     }
@@ -1154,7 +1133,7 @@ mod tests {
     fn single_strip_reroute_matches_exact_length() {
         let circuit = benchmarks::tiny_circuit();
         let netlist = &circuit.netlist;
-        let base = base_from_witness(&circuit);
+        let base = Layout::from_witness(&circuit);
         // Pick the strip with the most bends in the witness and re-route it.
         let strip = netlist
             .microstrips()
@@ -1193,7 +1172,7 @@ mod tests {
     fn soft_length_mode_reports_deviation_variables() {
         let circuit = benchmarks::tiny_circuit();
         let netlist = &circuit.netlist;
-        let base = base_from_witness(&circuit);
+        let base = Layout::from_witness(&circuit);
         let strip = netlist.microstrips()[0].id;
         let mut config = IlpConfig::single_strip(strip);
         config.hard_length = false;
@@ -1209,7 +1188,7 @@ mod tests {
     fn overlap_pair_keeps_strip_away_from_device() {
         let circuit = benchmarks::tiny_circuit();
         let netlist = &circuit.netlist;
-        let base = base_from_witness(&circuit);
+        let base = Layout::from_witness(&circuit);
         let strip = netlist.microstrips()[0].id;
         // Pick a device the strip does not touch as an obstacle.
         let obstacle = netlist
@@ -1291,7 +1270,7 @@ mod tests {
     fn unknown_strip_is_rejected() {
         let circuit = benchmarks::tiny_circuit();
         let netlist = &circuit.netlist;
-        let base = base_from_witness(&circuit);
+        let base = Layout::from_witness(&circuit);
         let config = IlpConfig::single_strip(MicrostripId(99));
         assert!(matches!(
             LayoutIlp::build(netlist, config, &base),
@@ -1303,7 +1282,7 @@ mod tests {
     fn model_size_scales_with_chain_points() {
         let circuit = benchmarks::tiny_circuit();
         let netlist = &circuit.netlist;
-        let base = base_from_witness(&circuit);
+        let base = Layout::from_witness(&circuit);
         let strip = netlist.microstrips()[0].id;
         let mut small = IlpConfig::single_strip(strip);
         small.chain_points.insert(strip, 3);

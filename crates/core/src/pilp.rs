@@ -303,6 +303,35 @@ impl SolverTotals {
     }
 }
 
+impl std::ops::AddAssign for SolverTotals {
+    /// Sums the counters of another run (several jobs, or a sweep's
+    /// variants) into these.
+    fn add_assign(&mut self, other: SolverTotals) {
+        let SolverTotals {
+            solves,
+            nodes,
+            simplex_iterations,
+            root_cuts,
+            tree_cuts,
+            presolve_rows_removed,
+            presolve_cols_removed,
+            presolve_nonzeros_removed,
+            fallback_attempts,
+            fallback_recoveries,
+        } = other;
+        self.solves += solves;
+        self.nodes += nodes;
+        self.simplex_iterations += simplex_iterations;
+        self.root_cuts += root_cuts;
+        self.tree_cuts += tree_cuts;
+        self.presolve_rows_removed += presolve_rows_removed;
+        self.presolve_cols_removed += presolve_cols_removed;
+        self.presolve_nonzeros_removed += presolve_nonzeros_removed;
+        self.fallback_attempts += fallback_attempts;
+        self.fallback_recoveries += fallback_recoveries;
+    }
+}
+
 /// Result of a P-ILP run.
 #[derive(Debug, Clone)]
 pub struct PilpResult {
@@ -1508,11 +1537,7 @@ mod tests {
             "max length error {} µm",
             report.max_length_error
         );
-        let exact = report
-            .strips
-            .iter()
-            .filter(|s| s.length_error.abs() < 1e-3)
-            .count();
+        let exact = report.exact_lengths();
         assert!(
             exact * 2 >= report.strips.len(),
             "at least half of the strips reach their exact length ({exact}/{})",
@@ -1568,28 +1593,6 @@ mod tests {
         }
     }
 
-    /// The witness layout of a generated circuit.
-    fn witness_layout(circuit: &rfic_netlist::generator::GeneratedCircuit) -> Layout {
-        Layout {
-            area: circuit.netlist.area(),
-            placements: circuit
-                .witness
-                .placements
-                .iter()
-                .map(|(&id, &(c, r))| {
-                    (
-                        id,
-                        Placement {
-                            center: c,
-                            rotation: r,
-                        },
-                    )
-                })
-                .collect(),
-            routes: circuit.witness.routes.clone(),
-        }
-    }
-
     /// Solves the soft and the hard round-0 site of `strip` with `n` chain
     /// points against `base`, as phase 3 does: returns the soft site's
     /// proven bound, the site's [`hard_length_ceiling`] and whether the
@@ -1626,7 +1629,7 @@ mod tests {
         let strips: Vec<MicrostripId> = netlist.microstrips().iter().map(|m| m.id).collect();
         // A fixed strip with five bends, more than the n − 2 = 2 a free
         // strip with four chain points can have.
-        let mut layout = witness_layout(&circuit);
+        let mut layout = Layout::from_witness(&circuit);
         let staircase = (0..7)
             .map(|i| Point::new(10.0 * ((i + 1) / 2) as f64, 10.0 * (i / 2) as f64))
             .collect();
@@ -1657,7 +1660,7 @@ mod tests {
     #[test]
     fn soft_bound_above_the_ceiling_proves_the_hard_site_infeasible() {
         let circuit = benchmarks::tiny_circuit();
-        let base = witness_layout(&circuit);
+        let base = Layout::from_witness(&circuit);
         let strip = circuit.netlist.microstrips()[0].clone();
         let pin = |t: rfic_netlist::Terminal| {
             base.pin_position(&circuit.netlist, t.device, t.pin)
@@ -1680,7 +1683,7 @@ mod tests {
     #[test]
     fn reachable_target_keeps_the_soft_bound_under_the_ceiling() {
         let circuit = benchmarks::tiny_circuit();
-        let base = witness_layout(&circuit);
+        let base = Layout::from_witness(&circuit);
         let strip = circuit.netlist.microstrips()[0].id;
         let (bound, ceiling, hard_found) = certificate_at(&circuit.netlist, &base, strip, 6);
         assert!(hard_found, "the witness target is reachable");
@@ -1693,7 +1696,7 @@ mod tests {
         let netlist = &circuit.netlist;
         // Base layout: witness, but squash two unrelated strips together by
         // translating one route on top of another.
-        let mut layout = witness_layout(&circuit);
+        let mut layout = Layout::from_witness(&circuit);
         let strips: Vec<_> = netlist.microstrips().to_vec();
         // Find two strips that do not share a device.
         let mut pair = None;

@@ -148,21 +148,11 @@ pub fn svg(netlist: &Netlist, layout: &Layout) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::Placement;
     use rfic_netlist::benchmarks;
 
     fn witness_layout() -> (Netlist, Layout) {
         let c = benchmarks::small_circuit();
-        let layout = Layout {
-            area: c.netlist.area(),
-            placements: c
-                .witness
-                .placements
-                .iter()
-                .map(|(&id, &(center, rotation))| (id, Placement { center, rotation }))
-                .collect(),
-            routes: c.witness.routes.clone(),
-        };
+        let layout = Layout::from_witness(&c);
         (c.netlist, layout)
     }
 

@@ -119,6 +119,17 @@ impl LayoutReport {
     pub fn lengths_matched(&self, tol: f64) -> bool {
         self.max_length_error <= tol
     }
+
+    /// Number of strips that reached their exact target length: those
+    /// whose |error| is within [`drc::LENGTH_TOLERANCE_UM`], the rule
+    /// [`drc::check`] and the flow's refinement apply. An unrouted strip
+    /// never counts.
+    pub fn exact_lengths(&self) -> usize {
+        self.strips
+            .iter()
+            .filter(|s| s.length_error.abs() <= drc::LENGTH_TOLERANCE_UM)
+            .count()
+    }
 }
 
 impl fmt::Display for LayoutReport {
@@ -230,26 +241,12 @@ impl fmt::Display for ComparisonRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::Placement;
     use rfic_netlist::benchmarks;
-
-    fn witness_layout(circuit: &rfic_netlist::generator::GeneratedCircuit) -> Layout {
-        Layout {
-            area: circuit.netlist.area(),
-            placements: circuit
-                .witness
-                .placements
-                .iter()
-                .map(|(&id, &(center, rotation))| (id, Placement { center, rotation }))
-                .collect(),
-            routes: circuit.witness.routes.clone(),
-        }
-    }
 
     #[test]
     fn witness_report_is_length_exact_and_clean() {
         let circuit = benchmarks::small_circuit();
-        let layout = witness_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         let report = LayoutReport::new(&circuit.netlist, &layout, Duration::from_secs(1));
         assert!(report.drc_clean);
         assert!(report.lengths_matched(1e-6));
@@ -262,7 +259,7 @@ mod tests {
     #[test]
     fn unrouted_strip_shows_up_as_infinite_error() {
         let circuit = benchmarks::tiny_circuit();
-        let mut layout = witness_layout(&circuit);
+        let mut layout = Layout::from_witness(&circuit);
         layout.routes.remove(&circuit.netlist.microstrips()[0].id);
         let report = LayoutReport::new(&circuit.netlist, &layout, Duration::ZERO);
         assert!(!report.drc_clean);
@@ -270,10 +267,68 @@ mod tests {
         assert!(!report.lengths_matched(1.0));
     }
 
+    /// Moves the final point of `strip`'s route `by` µm further along its
+    /// last segment, which lengthens the strip by `by` without a new bend.
+    fn stretch(layout: &mut Layout, strip: MicrostripId, by: f64) {
+        let route = layout.routes.get_mut(&strip).unwrap();
+        let mut points = route.points().to_vec();
+        let (prev, last) = (points[points.len() - 2], points[points.len() - 1]);
+        let (dx, dy) = (last.x - prev.x, last.y - prev.y);
+        let norm = dx.hypot(dy);
+        *points.last_mut().unwrap() = last.translated(dx / norm * by, dy / norm * by);
+        *route = rfic_geom::Polyline::new(points).unwrap();
+    }
+
+    /// `exact_lengths` agrees with `drc::check`: every strip is exact
+    /// unless the checker flags it as mismatched or unrouted.
+    #[test]
+    fn exact_lengths_agree_with_the_length_rule_of_drc() {
+        let circuit = benchmarks::tiny_circuit();
+        let netlist = &circuit.netlist;
+        let strip = netlist.microstrips()[0].id;
+        let witness = Layout::from_witness(&circuit);
+        let mut unrouted = witness.clone();
+        unrouted.routes.remove(&strip);
+        let mut far = witness.clone();
+        stretch(&mut far, strip, 2.0 * drc::LENGTH_TOLERANCE_UM);
+        let mut boundary = witness.clone();
+        stretch(&mut boundary, strip, drc::LENGTH_TOLERANCE_UM);
+        let boundary_error = boundary.abs_length_error(netlist, strip);
+        assert!((boundary_error - drc::LENGTH_TOLERANCE_UM).abs() < 1e-9);
+
+        let strips = netlist.microstrips().len();
+        for (case, layout, expected) in [
+            ("witness", &witness, Some(strips)),
+            ("unrouted", &unrouted, Some(strips - 1)),
+            ("2x tolerance", &far, Some(strips - 1)),
+            // Within float rounding of the tolerance: either side is fine
+            // as long as both rules land on the same one.
+            ("at tolerance", &boundary, None),
+        ] {
+            let report = LayoutReport::new(netlist, layout, Duration::ZERO);
+            let drc = drc::check(netlist, layout, &DrcOptions::default());
+            let flagged = drc
+                .violations
+                .iter()
+                .filter(|v| {
+                    matches!(
+                        v,
+                        drc::DrcViolation::LengthMismatch { .. }
+                            | drc::DrcViolation::UnroutedStrip { .. }
+                    )
+                })
+                .count();
+            assert_eq!(report.exact_lengths(), strips - flagged, "{case}");
+            if let Some(expected) = expected {
+                assert_eq!(report.exact_lengths(), expected, "{case}");
+            }
+        }
+    }
+
     #[test]
     fn comparison_row_collects_both_flows() {
         let circuit = benchmarks::small_circuit();
-        let layout = witness_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         let a = LayoutReport::new(&circuit.netlist, &layout, Duration::from_secs(3));
         let b = LayoutReport::new(&circuit.netlist, &layout, Duration::from_secs(1));
         let row = ComparisonRow::new(&circuit.netlist, "Manual", &a, "P-ILP", &b);

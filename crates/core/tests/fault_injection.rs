@@ -16,13 +16,8 @@ use rfic_netlist::benchmarks;
 
 fn assert_full_quality(result: &rfic_core::PilpResult) {
     let report = result.report();
-    let exact = report
-        .strips
-        .iter()
-        .filter(|s| s.length_error.abs() < 1e-3)
-        .count();
     assert_eq!(
-        exact,
+        report.exact_lengths(),
         report.strips.len(),
         "every strip must reach its exact target length"
     );

@@ -15,8 +15,6 @@
 //! every extra bend adds a little loss and reflection — exactly the
 //! qualitative dependence Figure 11 demonstrates.
 
-use serde::{Deserialize, Serialize};
-
 use rfic_core::Layout;
 use rfic_netlist::Netlist;
 
@@ -25,7 +23,7 @@ use crate::microstrip::{bend_discontinuity, MicrostripModel};
 use crate::twoport::{abcd_to_s, SParams};
 
 /// Behavioural description of the amplifier under evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AmplifierSpec {
     /// Operating frequency, GHz.
     pub operating_frequency_ghz: f64,
@@ -75,7 +73,7 @@ impl AmplifierSpec {
 }
 
 /// One point of a frequency sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Frequency, GHz.
     pub freq_ghz: f64,
@@ -175,34 +173,12 @@ pub fn frequency_sweep(start_ghz: f64, stop_ghz: f64, points: usize) -> Vec<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfic_core::Placement;
     use rfic_netlist::benchmarks;
-
-    fn witness_layout(circuit: &rfic_netlist::generator::GeneratedCircuit) -> Layout {
-        Layout {
-            area: circuit.netlist.area(),
-            placements: circuit
-                .witness
-                .placements
-                .iter()
-                .map(|(&id, &(c, r))| {
-                    (
-                        id,
-                        Placement {
-                            center: c,
-                            rotation: r,
-                        },
-                    )
-                })
-                .collect(),
-            routes: circuit.witness.routes.clone(),
-        }
-    }
 
     #[test]
     fn sweep_produces_a_gain_peak_near_the_operating_frequency() {
         let circuit = benchmarks::small_circuit();
-        let layout = witness_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         let spec = AmplifierSpec::lna(60.0);
         let freqs = frequency_sweep(40.0, 80.0, 41);
         let sweep = evaluate_layout(&circuit.netlist, &layout, &spec, &freqs);
@@ -226,7 +202,7 @@ mod tests {
     fn more_bends_mean_less_gain() {
         let circuit = benchmarks::small_circuit();
         let netlist = &circuit.netlist;
-        let layout = witness_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         // A hypothetical layout with identical lengths but zero bends.
         let mut ideal = layout.clone();
         for strip in netlist.microstrips() {
@@ -252,7 +228,7 @@ mod tests {
     fn length_error_detunes_the_response() {
         let circuit = benchmarks::small_circuit();
         let netlist = &circuit.netlist;
-        let layout = witness_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         // Stretch every route by translating its endpoint 60 µm further out.
         let mut detuned = layout.clone();
         for (_, route) in detuned.routes.iter_mut() {

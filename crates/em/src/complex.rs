@@ -2,8 +2,6 @@
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number `re + j·im`.
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let b = a * Complex::J;
 /// assert_eq!(b, Complex::new(-4.0, 3.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

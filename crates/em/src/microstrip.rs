@@ -6,8 +6,6 @@
 //! reproduction only relies on the *relative* effect of length error and
 //! bend count on the cascaded response.
 
-use serde::{Deserialize, Serialize};
-
 use rfic_netlist::Technology;
 
 use crate::complex::Complex;
@@ -15,7 +13,7 @@ use crate::twoport::Abcd;
 use crate::SPEED_OF_LIGHT_UM_PER_S;
 
 /// A thin-film microstrip line cross-section.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicrostripModel {
     /// Strip width, µm.
     pub width: f64,

@@ -1,13 +1,11 @@
 //! Two-port network arithmetic: ABCD matrices, S-parameters and wave
 //! cascading.
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::Complex;
 use crate::REFERENCE_IMPEDANCE;
 
 /// An ABCD (chain) matrix of a two-port network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Abcd {
     /// A element.
     pub a: Complex,
@@ -88,7 +86,7 @@ impl Abcd {
 }
 
 /// Scattering parameters of a two-port network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SParams {
     /// Input reflection coefficient.
     pub s11: Complex,

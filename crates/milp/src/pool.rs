@@ -58,7 +58,6 @@ struct QueuedTree {
 struct PoolState {
     queue: VecDeque<QueuedTree>,
     next_id: u64,
-    /// Trees served to completion since the pool started.
     completed: u64,
 }
 

@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --release --example buffer_60ghz`.
 
-use rfic_layout::baseline::{manual_layout, sequential_layout, SequentialOptions};
-use rfic_layout::core::{drc_check, DrcOptions, LayoutReport};
+use rfic_layout::baseline::{sequential_layout, SequentialOptions};
+use rfic_layout::core::{drc_check, DrcOptions, Layout, LayoutReport};
 use rfic_layout::em::{evaluate_layout, AmplifierSpec};
 use rfic_layout::netlist::benchmarks::BenchmarkCircuit;
 use std::time::Duration;
@@ -17,7 +17,7 @@ fn main() {
     println!("{}", netlist);
 
     // Manual-style baseline: exact lengths, many bends.
-    let manual = manual_layout(&circuit);
+    let manual = Layout::from_witness(&circuit);
     let manual_report = LayoutReport::new(netlist, &manual, Duration::from_secs(7 * 24 * 3600));
     println!(
         "\nmanual baseline:     total bends {:>3}, worst length error {:>8.3} µm, DRC {}",

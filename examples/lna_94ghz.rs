@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use rfic_layout::baseline::manual::manual_report;
-use rfic_layout::core::{Pilp, PilpConfig};
+use rfic_layout::core::{Layout, Pilp, PilpConfig};
 use rfic_layout::em::{evaluate_layout, frequency_sweep, AmplifierSpec};
 use rfic_layout::netlist::benchmarks::{AreaSetting, BenchmarkCircuit};
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // RF evaluation of the manual layout around 94 GHz.
-    let layout = rfic_layout::baseline::manual_layout(&circuit);
+    let layout = Layout::from_witness(&circuit);
     let spec = AmplifierSpec::lna(bench.operating_frequency_ghz());
     let sweep = evaluate_layout(
         &circuit.netlist,

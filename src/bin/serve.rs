@@ -400,20 +400,13 @@ fn handle_status(job: &ServedJob, id: u64) -> Json {
     builder.build()
 }
 
-fn result_payload(job: &ServedJob, id: u64, request: &Json, result: &PilpResult) -> Json {
+/// The layout-quality and solver-work members shared by a `result`
+/// payload and each entry of a `sweep` response.
+fn quality_fields(builder: ObjectBuilder, result: &PilpResult) -> ObjectBuilder {
     let report = result.report();
-    let exact = report
-        .strips
-        .iter()
-        .filter(|s| s.length_error.abs() < 1e-3)
-        .count();
-    let mut builder = ObjectBuilder::new()
-        .set("ok", Json::Bool(true))
-        .set("op", Json::String("result".into()))
-        .set("job", Json::Number(id as f64))
-        .set("state", Json::String("done".into()))
+    builder
         .set("strips", Json::Number(report.strips.len() as f64))
-        .set("exact_lengths", Json::Number(exact as f64))
+        .set("exact_lengths", Json::Number(report.exact_lengths() as f64))
         .set("total_bends", Json::Number(report.total_bends as f64))
         .set("max_length_error_um", Json::Number(report.max_length_error))
         .set("drc_violations", Json::Number(report.drc_violations as f64))
@@ -423,15 +416,24 @@ fn result_payload(job: &ServedJob, id: u64, request: &Json, result: &PilpResult)
             Json::Number(result.solver.simplex_iterations as f64),
         )
         .set(
-            "fallback_recoveries",
-            Json::Number(result.solver.fallback_recoveries as f64),
-        )
-        .set(
             "runtime_ms",
             Json::Number(result.runtime.as_secs_f64() * 1e3),
+        )
+}
+
+fn result_payload(job: &ServedJob, id: u64, request: &Json, result: &PilpResult) -> Json {
+    let header = ObjectBuilder::new()
+        .set("ok", Json::Bool(true))
+        .set("op", Json::String("result".into()))
+        .set("job", Json::Number(id as f64))
+        .set("state", Json::String("done".into()))
+        .set(
+            "fallback_recoveries",
+            Json::Number(result.solver.fallback_recoveries as f64),
         );
+    let mut builder = quality_fields(header, result);
     if request.get("report").and_then(Json::as_bool) == Some(true) {
-        builder = builder.set("report", Json::String(report.to_string()));
+        builder = builder.set("report", Json::String(result.report().to_string()));
     }
     if request.get("svg").and_then(Json::as_bool) == Some(true) {
         builder = builder.set(
@@ -517,32 +519,13 @@ fn build_variants(base: &Netlist, value: Option<&Json>) -> Result<Vec<Netlist>, 
 /// solver-work subset of a `result` payload).
 fn sweep_variant_payload(index: usize, outcome: &Result<PilpResult, PilpError>) -> Json {
     match outcome {
-        Ok(result) => {
-            let report = result.report();
-            let exact = report
-                .strips
-                .iter()
-                .filter(|s| s.length_error.abs() < 1e-3)
-                .count();
+        Ok(result) => quality_fields(
             ObjectBuilder::new()
                 .set("ok", Json::Bool(true))
-                .set("variant", Json::Number(index as f64))
-                .set("strips", Json::Number(report.strips.len() as f64))
-                .set("exact_lengths", Json::Number(exact as f64))
-                .set("total_bends", Json::Number(report.total_bends as f64))
-                .set("max_length_error_um", Json::Number(report.max_length_error))
-                .set("drc_violations", Json::Number(report.drc_violations as f64))
-                .set("solves", Json::Number(result.solver.solves as f64))
-                .set(
-                    "simplex_iterations",
-                    Json::Number(result.solver.simplex_iterations as f64),
-                )
-                .set(
-                    "runtime_ms",
-                    Json::Number(result.runtime.as_secs_f64() * 1e3),
-                )
-                .build()
-        }
+                .set("variant", Json::Number(index as f64)),
+            result,
+        )
+        .build(),
         Err(e) => ObjectBuilder::new()
             .set("ok", Json::Bool(false))
             .set("variant", Json::Number(index as f64))

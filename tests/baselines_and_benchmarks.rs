@@ -1,10 +1,8 @@
 //! Integration tests of the benchmark circuits, baselines and reference
 //! data (the Table-1 scaffolding).
 
-use rfic_layout::baseline::{
-    manual_layout, published_table1, sequential_layout, SequentialOptions,
-};
-use rfic_layout::core::{drc_check, DrcOptions, LayoutReport};
+use rfic_layout::baseline::{published_table1, sequential_layout, SequentialOptions};
+use rfic_layout::core::{drc_check, DrcOptions, Layout, LayoutReport};
 use rfic_layout::netlist::benchmarks::{AreaSetting, BenchmarkCircuit};
 use std::time::Duration;
 
@@ -26,7 +24,7 @@ fn benchmark_circuits_match_the_published_instance_sizes() {
 fn manual_witnesses_of_all_benchmarks_are_exact_and_clean() {
     for bench in BenchmarkCircuit::ALL {
         let circuit = bench.circuit();
-        let layout = manual_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         let report = LayoutReport::new(&circuit.netlist, &layout, Duration::ZERO);
         assert!(report.drc_clean, "{bench}: manual layout must be DRC clean");
         assert!(
@@ -63,7 +61,7 @@ fn reduced_area_settings_are_strictly_smaller() {
         // stress setting is guaranteed by construction).
         let circuit = bench.circuit();
         let reduced = circuit.netlist.with_area(rw, rh);
-        let layout = manual_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         let drc = drc_check(&reduced, &layout, &DrcOptions::default());
         assert!(
             drc.is_clean(),

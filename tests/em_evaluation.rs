@@ -1,7 +1,6 @@
 //! Integration tests of the Figure-11 style RF evaluation: the qualitative
 //! relationships the paper's comparison relies on.
 
-use rfic_layout::baseline::manual_layout;
 use rfic_layout::core::Layout;
 use rfic_layout::em::{evaluate_layout, frequency_sweep, AmplifierSpec};
 use rfic_layout::geom::{Point, Polyline};
@@ -25,7 +24,7 @@ fn fewer_bends_never_reduce_the_gain_at_f0() {
     for bench in [BenchmarkCircuit::Lna94Ghz, BenchmarkCircuit::Buffer60Ghz] {
         let circuit = bench.circuit();
         let netlist = &circuit.netlist;
-        let manual = manual_layout(&circuit);
+        let manual = Layout::from_witness(&circuit);
         let ideal = straightened(netlist, &manual);
         let f0 = bench.operating_frequency_ghz();
         let spec = if bench == BenchmarkCircuit::Buffer60Ghz {
@@ -51,7 +50,7 @@ fn fewer_bends_never_reduce_the_gain_at_f0() {
 fn gain_peaks_near_the_operating_frequency_for_matched_layouts() {
     let bench = BenchmarkCircuit::Buffer60Ghz;
     let circuit = bench.circuit();
-    let manual = manual_layout(&circuit);
+    let manual = Layout::from_witness(&circuit);
     let spec = AmplifierSpec::buffer(60.0);
     let sweep = evaluate_layout(
         &circuit.netlist,
@@ -83,7 +82,7 @@ fn length_mismatch_costs_gain() {
     let bench = BenchmarkCircuit::Lna94Ghz;
     let circuit = bench.circuit();
     let netlist = &circuit.netlist;
-    let manual = manual_layout(&circuit);
+    let manual = Layout::from_witness(&circuit);
     // Add 80 µm of error to every strip by stretching its final segment.
     let mut detuned = manual.clone();
     for strip in netlist.microstrips() {

@@ -1,6 +1,6 @@
 //! End-to-end integration tests of the P-ILP flow across crates.
 
-use rfic_layout::core::{drc_check, DrcOptions, Pilp, PilpConfig, PilpPhase};
+use rfic_layout::core::{drc_check, DrcOptions, Layout, Pilp, PilpConfig, PilpPhase};
 use rfic_layout::netlist::benchmarks;
 
 #[test]
@@ -50,11 +50,7 @@ fn pilp_flow_on_the_tiny_circuit_beats_the_manual_baseline_on_bends() {
     // Length matching: the majority of strips reach their exact target with
     // the fast CI settings; the worst residual stays bounded.
     let report = result.report();
-    let exact = report
-        .strips
-        .iter()
-        .filter(|s| s.length_error.abs() < 1e-3)
-        .count();
+    let exact = report.exact_lengths();
     assert!(
         exact * 2 >= report.strips.len(),
         "{exact}/{} exact",
@@ -81,7 +77,7 @@ fn pilp_runtime_is_minutes_not_weeks() {
 fn manual_witness_is_the_reference_quality_bar() {
     // The manual baseline itself must be flawless: exact lengths, DRC clean.
     for circuit in [benchmarks::tiny_circuit(), benchmarks::small_circuit()] {
-        let layout = rfic_layout::baseline::manual_layout(&circuit);
+        let layout = Layout::from_witness(&circuit);
         assert!(layout.max_length_error(&circuit.netlist) < 1e-6);
         let drc = drc_check(&circuit.netlist, &layout, &DrcOptions::default());
         assert!(drc.is_clean(), "{drc}");
