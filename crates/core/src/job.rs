@@ -27,9 +27,12 @@
 //!   with near-zero solver work.
 //!
 //! A job is a run of one netlist and a sweep ([`crate::Pilp::submit_sweep`])
-//! is a run of many: one runner lays the netlists out in order on one
-//! thread, each flow under its own control block and panic boundary, and
-//! fills each netlist's [`JobHandle`]. One write-once
+//! is a run of many. A run starts one runner thread per netlist, at most
+//! one per pool worker; each runner takes the next netlist in submission
+//! order, lays it out under its own control block and panic boundary, and
+//! fills that netlist's [`JobHandle`]. A sweep's variants therefore
+//! overlap in time, each a plain job whose layout and solver counters do
+//! not depend on what runs beside it. One write-once
 //! [`rfic_lp::sync::Slot`] type serves the job results, the pool's tree
 //! completions and a flow's fatal-error record.
 //!
@@ -322,10 +325,19 @@ struct RunNames {
     spawn: &'static str,
 }
 
-/// Runs `netlists` in order on one new thread, each as a full flow under
-/// its own control block and panic boundary, all sharing the context's
-/// pool and, with `use_cache`, its solve-site cache. Returns
-/// the run's cancel token and one [`JobHandle`] per netlist, in order.
+/// Number of runner threads for a run of `netlists` flows on a pool of
+/// `workers`: one per flow, at most one per worker, at least one while
+/// there is a flow to run.
+fn runner_count(netlists: usize, workers: usize) -> usize {
+    netlists.min(workers.max(1))
+}
+
+/// Runs `netlists` on [`runner_count`] new threads, each flow under its
+/// own control block and panic boundary, all sharing the context's pool
+/// and, with `use_cache`, its solve-site cache. Each runner takes the
+/// next netlist in submission order until none is left, so a run never
+/// has more flows in flight than the pool has workers. Returns the run's
+/// cancel token and one [`JobHandle`] per netlist, in order.
 ///
 /// `use_cache` is off only for [`Pilp::run`], so that repeated
 /// measurement runs in one process always perform — and report — the
@@ -345,50 +357,90 @@ fn spawn_flows(
             progress: Arc::default(),
         })
         .collect();
-    let flows: Vec<Arc<ProgressState>> = handles.iter().map(|h| Arc::clone(&h.progress)).collect();
-    let thread_cancel = cancel.clone();
-    let pool = ctx.pool.clone();
-    let cache = use_cache.then(|| Arc::clone(&ctx.cache));
-    let spawned = std::thread::Builder::new()
-        .name(names.thread.into())
-        .spawn(move || {
-            for (netlist, flow) in netlists.iter().zip(&flows) {
-                // Panic boundary: whatever happens inside a flow, its
-                // result slot is filled — a panicking flow fails itself,
-                // not the netlists after it or the waiters on it.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = rfic_lp::fault::fire("core.job.flow");
-                    let ctl = FlowCtl {
-                        cancel: thread_cancel.clone(),
-                        deadline: pilp.config().deadline.map(|d| Instant::now() + d),
-                        pool: pool.clone(),
-                        cache: cache.clone(),
-                        fingerprint: netlist.fingerprint(),
-                        progress: Arc::clone(flow),
-                        fatal: Slot::default(),
-                    };
-                    pilp.run_with(netlist, &ctl)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(PilpError::Internal {
-                        site: names.panic.to_string(),
-                        payload: rfic_milp::panic_payload_string(payload.as_ref()),
-                    })
-                });
-                flow.finish(result);
+    let run = Arc::new(Run {
+        pilp,
+        flows: netlists
+            .into_iter()
+            .zip(handles.iter().map(|h| Arc::clone(&h.progress)))
+            .collect(),
+        next: AtomicUsize::new(0),
+        cancel: cancel.clone(),
+        pool: ctx.pool.clone(),
+        cache: use_cache.then(|| Arc::clone(&ctx.cache)),
+        names,
+    });
+    let mut started = 0;
+    let mut spawn_error = None;
+    for _ in 0..runner_count(run.flows.len(), ctx.pool.workers()) {
+        let runner = Arc::clone(&run);
+        match std::thread::Builder::new()
+            .name(run.names.thread.into())
+            .spawn(move || runner.drain())
+        {
+            Ok(_) => started += 1,
+            Err(e) => {
+                spawn_error = Some(e);
+                break;
             }
-        });
-    if let Err(e) = spawned {
-        // Thread spawn failed (resource exhaustion): every flow fails
-        // immediately instead of panicking the submitter.
+        }
+    }
+    if let (0, Some(e)) = (started, spawn_error) {
+        // No runner started (resource exhaustion): every flow fails
+        // immediately instead of panicking the submitter. One started
+        // runner drains every flow on its own.
         for handle in &handles {
             handle.progress.finish(Err(PilpError::Internal {
-                site: names.spawn.to_string(),
+                site: run.names.spawn.to_string(),
                 payload: e.to_string(),
             }));
         }
     }
     (cancel, handles)
+}
+
+/// What the runner threads of one run share: the flows to lay out, each
+/// with the progress its [`JobHandle`] reads, and the index of the next
+/// flow no runner has taken yet.
+struct Run {
+    pilp: Pilp,
+    flows: Vec<(Netlist, Arc<ProgressState>)>,
+    next: AtomicUsize,
+    cancel: CancelToken,
+    pool: SolverPool,
+    cache: Option<Arc<FlowCache>>,
+    names: RunNames,
+}
+
+impl Run {
+    /// A runner's loop: takes the next flow until none is left.
+    fn drain(&self) {
+        while let Some((netlist, flow)) = self.flows.get(self.next.fetch_add(1, Ordering::Relaxed))
+        {
+            // Panic boundary: whatever happens inside a flow, its result
+            // slot is filled — a panicking flow fails itself, not the
+            // other flows of the run or the waiters on it.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = rfic_lp::fault::fire("core.job.flow");
+                let ctl = FlowCtl {
+                    cancel: self.cancel.clone(),
+                    deadline: self.pilp.config().deadline.map(|d| Instant::now() + d),
+                    pool: self.pool.clone(),
+                    cache: self.cache.clone(),
+                    fingerprint: netlist.fingerprint(),
+                    progress: Arc::clone(flow),
+                    fatal: Slot::default(),
+                };
+                self.pilp.run_with(netlist, &ctl)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(PilpError::Internal {
+                    site: self.names.panic.to_string(),
+                    payload: rfic_milp::panic_payload_string(payload.as_ref()),
+                })
+            });
+            flow.finish(result);
+        }
+    }
 }
 
 /// Spawns one job: a run of one netlist.
@@ -409,10 +461,11 @@ pub(crate) fn spawn_job(
 
 /// Handle to a submitted parameter sweep ([`Pilp::submit_sweep`]).
 ///
-/// A sweep is a run of many netlists: its variants run **sequentially,
-/// in submission order, on one background thread**, sharing the
-/// context's solver pool and solve-site cache. Each variant is a plain
-/// job, so its layout is bit-identical to submitting it on its own.
+/// A sweep is a run of many netlists: its variants **overlap**, started
+/// in submission order on up to one runner thread per pool worker, and
+/// share the context's solver pool and solve-site cache. Each variant is
+/// a plain job, so its layout and solver counters are bit-identical to
+/// submitting it on its own.
 ///
 /// Like [`JobHandle`], the handle is passive: dropping it neither
 /// cancels nor detaches the sweep.
@@ -445,9 +498,10 @@ impl SweepHandle {
         self.jobs.len()
     }
 
-    /// Requests cancellation of the whole sweep: the in-flight variant
-    /// aborts at its next checkpoint and every remaining variant fails
-    /// with [`PilpError::Cancelled`].
+    /// Requests cancellation of the whole sweep: every in-flight variant
+    /// aborts at its next checkpoint and every variant not yet started
+    /// fails with [`PilpError::Cancelled`]; variants already finished
+    /// keep their results.
     pub fn cancel(&self) {
         self.cancel.cancel();
     }
@@ -505,6 +559,102 @@ mod tests {
         };
         let job = Pilp::new(config).submit_in(&circuit.netlist, &ctx);
         assert!(matches!(job.wait(), Err(PilpError::DeadlineExceeded)));
+        ctx.shutdown();
+    }
+
+    #[test]
+    fn runners_are_one_per_flow_at_most_one_per_worker() {
+        assert_eq!(runner_count(2, 2), 2);
+        assert_eq!(runner_count(8, 2), 2);
+        assert_eq!(runner_count(1, 4), 1);
+        assert_eq!(runner_count(3, 1), 1);
+        // At least one runner while there is a flow, none for an empty run.
+        assert_eq!(runner_count(3, 0), 1);
+        assert_eq!(runner_count(0, 2), 0);
+    }
+
+    /// Polls the variants of `sweep` until all are done; `true` when some
+    /// poll saw every variant inside a phase before any had finished.
+    fn saw_all_in_a_phase(sweep: &SweepHandle) -> bool {
+        let mut overlapped = false;
+        let mut any_done = false;
+        while sweep.completed() < sweep.variants() {
+            let progress: Vec<JobProgress> = sweep.jobs.iter().map(JobHandle::progress).collect();
+            any_done |= progress.iter().any(|p| p.done);
+            overlapped |= !any_done && progress.iter().all(|p| p.phase.is_some());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        overlapped
+    }
+
+    /// The variants of a sweep on two workers run side by side, and each
+    /// is still the plain job it would be alone: the same layout, SVG and
+    /// solver counters as a solo submission on a fresh context.
+    #[test]
+    fn two_variant_sweep_overlaps_and_matches_solo_submissions() {
+        let circuit = benchmarks::tiny_circuit();
+        let variants: Vec<Netlist> = [1.0, 1.01]
+            .iter()
+            .map(|&scale| circuit.netlist.with_target_scale(scale))
+            .collect();
+        let pilp = Pilp::new(PilpConfig::fast());
+        let solo: Vec<PilpResult> = variants
+            .iter()
+            .map(|netlist| {
+                let ctx = JobContext::new(2);
+                let result = pilp.submit_in(netlist, &ctx).wait().expect("solo variant");
+                ctx.shutdown();
+                result
+            })
+            .collect();
+
+        let ctx = JobContext::new(2);
+        let sweep = pilp.submit_sweep_in(&variants, &ctx);
+        assert!(
+            saw_all_in_a_phase(&sweep),
+            "both variants must be inside a phase at once before either finishes"
+        );
+        let swept = sweep.wait();
+        ctx.shutdown();
+        for (i, ((netlist, swept), solo)) in variants.iter().zip(&swept).zip(&solo).enumerate() {
+            let swept = swept.as_ref().expect("swept variant");
+            assert_eq!(swept.layout, solo.layout, "variant {i}: layout");
+            assert_eq!(
+                crate::render::svg(netlist, &swept.layout),
+                crate::render::svg(netlist, &solo.layout),
+                "variant {i}: SVG"
+            );
+            assert_eq!(swept.solver, solo.solver, "variant {i}: solver totals");
+        }
+    }
+
+    /// Cancelling a running sweep fills every slot: variants finished
+    /// before the cancel keep their layouts, the rest fail as cancelled.
+    #[test]
+    fn cancelled_running_sweep_fills_every_slot() {
+        let ctx = JobContext::new(2);
+        let circuit = benchmarks::tiny_circuit();
+        let variants: Vec<Netlist> = (0..4)
+            .map(|i| circuit.netlist.with_target_scale(1.0 + 0.01 * i as f64))
+            .collect();
+        let sweep = Pilp::new(PilpConfig::fast()).submit_sweep_in(&variants, &ctx);
+        while sweep.jobs.iter().all(|job| job.progress().phase.is_none()) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let finished_before: Vec<bool> = sweep.jobs.iter().map(|job| job.progress().done).collect();
+        sweep.cancel();
+        let results = sweep.wait();
+        assert_eq!(sweep.completed(), sweep.variants());
+        assert_eq!(results.len(), 4);
+        for (i, (result, finished)) in results.iter().zip(finished_before).enumerate() {
+            match result {
+                Ok(_) => {}
+                Err(PilpError::Cancelled) => assert!(!finished, "variant {i} finished before"),
+                Err(e) => panic!("variant {i}: {e:?}"),
+            }
+        }
+        // Runners take variants in order, so the last one had not started.
+        assert!(matches!(results[3], Err(PilpError::Cancelled)));
         ctx.shutdown();
     }
 

@@ -457,10 +457,10 @@ impl Pilp {
     /// process-wide [`crate::JobContext`]. Returns immediately with a
     /// [`crate::SweepHandle`].
     ///
-    /// The variants run sequentially in submission order on one
-    /// background thread, each as a plain job on the shared pool and
-    /// solve-site cache, so the layouts are bit-identical to submitting
-    /// the same variants one at a time.
+    /// The variants run side by side, started in submission order on up
+    /// to one runner thread per pool worker, each as a plain job on the
+    /// shared pool and solve-site cache, so the layouts are bit-identical
+    /// to submitting the same variants one at a time.
     ///
     /// # Examples
     ///

@@ -233,6 +233,51 @@ impl Factorization {
         Ok(f)
     }
 
+    /// The factors as a stored basis keeps them: without the scratch
+    /// buffers `xwork`, `last_spike` and `scatter`. None of them carries
+    /// information from one solve into the next — `xwork` is overwritten
+    /// before it is read, `last_spike` is read only by the
+    /// [`Factorization::update`] after its [`Factorization::ftran`], and
+    /// `scatter` is cleared after every use — so a stored factor costs
+    /// only its factors, and [`Factorization::working_copy`] gives
+    /// solves bit-identical to those of the factor it came from.
+    pub(crate) fn into_stored(mut self) -> Factorization {
+        self.xwork = Vec::new();
+        self.last_spike = Vec::new();
+        self.scatter = ScatterVec::new(0);
+        self
+    }
+
+    /// A copy of the factors with fresh zeroed scratch buffers: the
+    /// working factor a solve builds from a stored one.
+    pub(crate) fn working_copy(&self) -> Factorization {
+        Factorization {
+            xwork: vec![0.0; self.m],
+            last_spike: vec![0.0; self.m],
+            scatter: ScatterVec::new(self.m),
+            ..self.clone()
+        }
+    }
+
+    /// `true` when the factor holds no scratch (see
+    /// [`Factorization::into_stored`]).
+    #[cfg(test)]
+    pub(crate) fn scratch_is_empty(&self) -> bool {
+        [self.xwork.len(), self.last_spike.len(), self.scatter.len()] == [0; 3]
+    }
+
+    /// Pads the eta file with empty row etas (no-ops in every solve)
+    /// until the factor is too stale to reuse for warm starts.
+    #[cfg(test)]
+    pub(crate) fn make_stale(&mut self) {
+        while self.worth_caching() {
+            self.etas.push(RowEta {
+                row: 0,
+                entries: Vec::new(),
+            });
+        }
+    }
+
     /// Basis dimension.
     #[cfg(test)]
     pub fn dim(&self) -> usize {
@@ -766,6 +811,81 @@ mod tests {
         }
         assert!(
             compared >= 24,
+            "too many singular seeds: {compared} compared"
+        );
+    }
+
+    /// A factor restored from a stored basis (scratch dropped, then fresh
+    /// zeroed scratch) must solve and update bit for bit like a full clone
+    /// of the factor it came from, after any number of Forrest–Tomlin
+    /// updates.
+    #[test]
+    fn restored_stored_factor_matches_a_full_clone_bit_for_bit() {
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let mut compared = 0;
+        for seed in 0..8u64 {
+            let m = 60;
+            let columns = layout_basis(m, 0x5709_0000 + seed);
+            let Ok(mut f) = Factorization::factorize(m, &columns) else {
+                continue;
+            };
+            let mut updates = 0;
+            for round in 0..10 {
+                // Store and restore, then run the same solves and the same
+                // update on the restored factor and on a full clone.
+                let stored = f.clone().into_stored();
+                assert!(stored.scratch_is_empty());
+                assert_eq!(factor_bits(&stored), factor_bits(&f));
+                let mut restored = stored.working_copy();
+                let mut clone = f.clone();
+                let rhs: Vec<f64> = (0..m)
+                    .map(|i| ((i * 31 + round) % 17) as f64 - 8.0)
+                    .collect();
+                let mut x1 = rhs.clone();
+                let mut x2 = rhs.clone();
+                restored.ftran_aux(&mut x1);
+                clone.ftran_aux(&mut x2);
+                let mut y1 = rhs.clone();
+                let mut y2 = rhs.clone();
+                restored.btran(&mut y1);
+                clone.btran(&mut y2);
+                let mut u1 = vec![0.0; m];
+                let mut u2 = vec![0.0; m];
+                restored.btran_unit((round * 7) % m, &mut u1);
+                clone.btran_unit((round * 7) % m, &mut u2);
+                for (a, b) in [(&x1, &x2), (&y1, &y2), (&u1, &u2)] {
+                    assert_eq!(bits(a), bits(b), "seed={seed} round={round}");
+                }
+                // The column factorised at `pos`, perturbed in one row: an
+                // entering column the update usually accepts.
+                let pos = (round * 11 + 3) % m;
+                let mut w1 = vec![0.0; m];
+                for &(r, v) in &columns[pos] {
+                    w1[r] = v;
+                }
+                w1[(pos * 7 + round) % m] += 0.75;
+                let mut w2 = w1.clone();
+                restored.ftran(&mut w1);
+                clone.ftran(&mut w2);
+                assert_eq!(bits(&w1), bits(&w2), "seed={seed} round={round}");
+                let accepted = restored.update(pos, &w1);
+                assert_eq!(
+                    accepted,
+                    clone.update(pos, &w2),
+                    "seed={seed} round={round}"
+                );
+                assert_eq!(factor_bits(&restored), factor_bits(&clone));
+                // Carry the chain on from the restored factor, as the next
+                // warm start from it would.
+                f = restored;
+                updates += usize::from(accepted);
+            }
+            assert!(updates >= 3, "seed={seed}: only {updates} updates applied");
+            assert!(f.eta_count() >= 1, "seed={seed}: no row eta in the chain");
+            compared += 1;
+        }
+        assert!(
+            compared >= 4,
             "too many singular seeds: {compared} compared"
         );
     }

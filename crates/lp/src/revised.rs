@@ -226,7 +226,7 @@ pub(crate) fn refresh_factor(lp: &LinearProgram, basis: &mut Basis) -> bool {
     }
     match factorize_basic(&cache, lp.num_vars(), lp.num_constraints(), &basis.basic) {
         Ok(factor) => {
-            basis.factor = Some(std::sync::Arc::new(factor));
+            basis.factor = Some(std::sync::Arc::new(factor.into_stored()));
             true
         }
         Err(SingularBasis) => false,
@@ -501,7 +501,7 @@ impl<'a> Solver<'a> {
             if let Some(cached) = warm.factor.as_ref().filter(|f| f.worth_caching()) {
                 self.statuses = statuses;
                 self.basic = basic;
-                self.factor = (**cached).clone();
+                self.factor = cached.working_copy();
                 if let Some(w) = inherited {
                     self.dse_weights = w;
                 }
@@ -522,7 +522,8 @@ impl<'a> Solver<'a> {
     }
 
     /// Snapshots the basis, **moving** the factorisation into the snapshot
-    /// (no clone — only valid as the very last step of a solve).
+    /// (no clone — only valid as the very last step of a solve) without
+    /// its scratch buffers ([`Factorization::into_stored`]).
     fn into_snapshot(mut self) -> Basis {
         let factor = std::mem::replace(&mut self.factor, Factorization::empty());
         let dse_weights = if self.track_dse && self.dse_weights.len() == self.m {
@@ -534,7 +535,7 @@ impl<'a> Solver<'a> {
             statuses: self.statuses,
             basic: self.basic,
             num_structural: self.n,
-            factor: Some(std::sync::Arc::new(factor)),
+            factor: Some(std::sync::Arc::new(factor.into_stored())),
             matrix_fingerprint: self.cache.fingerprint,
             dse_weights,
         }
@@ -1610,6 +1611,33 @@ mod tests {
         lp.add_constraint(vec![(0, coeff)], ConstraintOp::Ge, 5.0);
         let mut solver = Solver::new(&lp, None).expect("logical basis");
         solver.dual()
+    }
+
+    /// A solve's stored basis and a refreshed basis keep their factors
+    /// without scratch buffers.
+    #[test]
+    fn stored_basis_factor_holds_no_scratch() {
+        let mut lp = LinearProgram::new(3, Sense::Maximize);
+        for (j, c) in [3.0, 2.0, 4.0].into_iter().enumerate() {
+            lp.set_objective_coeff(j, c);
+            lp.set_bounds(j, 0.0, 10.0);
+        }
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 2.0)], ConstraintOp::Le, 12.0);
+        lp.add_constraint(vec![(0, 2.0), (1, -1.0), (2, 1.0)], ConstraintOp::Le, 8.0);
+        let (_, mut basis) = lp.solve_warm(None).expect("optimal");
+        let stored = |basis: &Basis| basis.factor.as_ref().expect("factor").scratch_is_empty();
+        assert!(stored(&basis));
+        // A warm start from the stored factor solves to the same optimum.
+        let (cold, _) = lp.solve_warm(None).expect("optimal");
+        let (warm, rewarm) = lp.solve_warm(Some(&basis)).expect("optimal");
+        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
+        assert!(stored(&rewarm));
+        // Force the chain stale so `refresh_factor` refactorises.
+        let mut stale = (**basis.factor.as_ref().unwrap()).clone();
+        stale.make_stale();
+        basis.factor = Some(std::sync::Arc::new(stale));
+        assert!(refresh_factor(&lp, &mut basis));
+        assert!(stored(&basis));
     }
 
     #[test]

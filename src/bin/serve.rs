@@ -540,9 +540,9 @@ fn sweep_variant_payload(index: usize, outcome: &Result<PilpResult, PilpError>) 
     }
 }
 
-/// Runs a `sweep` request to completion: the variants are laid out
-/// sequentially in request order on the shared context, and the response
-/// carries one entry per variant, in order.
+/// Runs a `sweep` request to completion: the variants are laid out side
+/// by side on the shared context, and the response carries one entry per
+/// variant, in request order.
 fn handle_sweep(request: &Json, ctx: &JobContext) -> Json {
     let base = match requested_netlist("sweep", request) {
         Ok(netlist) => netlist,
