@@ -52,10 +52,7 @@ impl Effort {
     pub fn pilp_config(self) -> PilpConfig {
         match self {
             Effort::Quick => PilpConfig::fast(),
-            Effort::Full => PilpConfig {
-                solve_time_limit: Duration::from_secs(15),
-                ..PilpConfig::thorough()
-            },
+            Effort::Full => PilpConfig::thorough(),
         }
     }
 }

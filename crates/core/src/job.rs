@@ -7,7 +7,7 @@
 //! thread sets with no way to stop a runaway run. This module inverts
 //! the control flow:
 //!
-//! * [`crate::Pilp::submit`] returns a [`JobHandle`] immediately; the
+//! * [`crate::Pilp::submit_in`] returns a [`JobHandle`] immediately; the
 //!   flow runs on a background thread and every MILP solve is scheduled
 //!   on the [`JobContext`]'s shared [`rfic_milp::SolverPool`], so N
 //!   concurrent jobs multiplex one fixed worker set instead of
@@ -26,7 +26,7 @@
 //!   replays each solve site as a pure lookup — the identical layout
 //!   with near-zero solver work.
 //!
-//! A job is a run of one netlist and a sweep ([`crate::Pilp::submit_sweep`])
+//! A job is a run of one netlist and a sweep ([`crate::Pilp::submit_sweep_in`])
 //! is a run of many. A run starts one runner thread per netlist, at most
 //! one per pool worker; each runner takes the next netlist in submission
 //! order, lays it out under its own control block and panic boundary, and
@@ -36,13 +36,13 @@
 //! [`rfic_lp::sync::Slot`] type serves the job results, the pool's tree
 //! completions and a flow's fatal-error record.
 //!
-//! The process-wide default context behind [`crate::Pilp::run`] and
-//! [`crate::Pilp::submit`] is [`JobContext::global`]; servers that need
-//! their own pool lifecycle construct a [`JobContext`] and use
-//! [`crate::Pilp::submit_in`].
+//! Every job runs on a [`JobContext`] its caller owns: servers keep one
+//! for their whole lifetime, and [`crate::Pilp::run`] creates one per call
+//! and shuts it down before it returns, so a run shares neither its pool
+//! nor its cache with anything else in the process.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rfic_lp::sync::{LockExt, Slot};
@@ -74,14 +74,6 @@ impl JobContext {
             cache: Arc::new(FlowCache::default()),
             models: Arc::new(ModelCache::with_capacity(1)),
         }
-    }
-
-    /// The process-wide context used by [`Pilp::run`] and
-    /// [`Pilp::submit`]. Created lazily on first use; its pool workers
-    /// live for the rest of the process.
-    pub fn global() -> &'static JobContext {
-        static GLOBAL: OnceLock<JobContext> = OnceLock::new();
-        GLOBAL.get_or_init(|| JobContext::new(0))
     }
 
     /// The shared solver pool.
@@ -116,7 +108,7 @@ pub(crate) struct FlowCtl {
     cancel: CancelToken,
     deadline: Option<Instant>,
     pool: SolverPool,
-    cache: Option<Arc<FlowCache>>,
+    cache: Arc<FlowCache>,
     /// [`Netlist::fingerprint`] of the job's circuit (cache keying).
     fingerprint: u64,
     progress: Arc<ProgressState>,
@@ -172,9 +164,9 @@ impl FlowCtl {
         &self.pool
     }
 
-    /// The shared solve-site cache, if attached.
-    pub(crate) fn cache(&self) -> Option<&FlowCache> {
-        self.cache.as_deref()
+    /// The shared solve-site cache.
+    pub(crate) fn cache(&self) -> &FlowCache {
+        &self.cache
     }
 
     /// The netlist fingerprint for cache keying.
@@ -260,7 +252,7 @@ pub struct JobProgress {
     pub done: bool,
 }
 
-/// Handle to a submitted layout job ([`Pilp::submit`]).
+/// Handle to a submitted layout job ([`Pilp::submit_in`]).
 ///
 /// The handle is passive: dropping it neither cancels nor detaches the
 /// job (the flow keeps running on the shared pool); cancel explicitly if
@@ -315,16 +307,6 @@ impl JobHandle {
     }
 }
 
-/// The thread name and the [`PilpError::Internal`] sites of one kind of
-/// run: a job or a sweep.
-struct RunNames {
-    thread: &'static str,
-    /// Site of a panic caught at a flow's boundary.
-    panic: &'static str,
-    /// Site of a failed thread spawn.
-    spawn: &'static str,
-}
-
 /// Number of runner threads for a run of `netlists` flows on a pool of
 /// `workers`: one per flow, at most one per worker, at least one while
 /// there is a flow to run.
@@ -334,20 +316,14 @@ fn runner_count(netlists: usize, workers: usize) -> usize {
 
 /// Runs `netlists` on [`runner_count`] new threads, each flow under its
 /// own control block and panic boundary, all sharing the context's pool
-/// and, with `use_cache`, its solve-site cache. Each runner takes the
-/// next netlist in submission order until none is left, so a run never
-/// has more flows in flight than the pool has workers. Returns the run's
-/// cancel token and one [`JobHandle`] per netlist, in order.
-///
-/// `use_cache` is off only for [`Pilp::run`], so that repeated
-/// measurement runs in one process always perform — and report — the
-/// full solver work.
+/// and solve-site cache. Each runner takes the next netlist in submission
+/// order until none is left, so a run never has more flows in flight than
+/// the pool has workers. Returns the run's cancel token and one
+/// [`JobHandle`] per netlist, in order.
 fn spawn_flows(
     pilp: Pilp,
     netlists: Vec<Netlist>,
     ctx: &JobContext,
-    use_cache: bool,
-    names: RunNames,
 ) -> (CancelToken, Vec<JobHandle>) {
     let cancel = CancelToken::new();
     let handles: Vec<JobHandle> = netlists
@@ -366,15 +342,14 @@ fn spawn_flows(
         next: AtomicUsize::new(0),
         cancel: cancel.clone(),
         pool: ctx.pool.clone(),
-        cache: use_cache.then(|| Arc::clone(&ctx.cache)),
-        names,
+        cache: Arc::clone(&ctx.cache),
     });
     let mut started = 0;
     let mut spawn_error = None;
     for _ in 0..runner_count(run.flows.len(), ctx.pool.workers()) {
         let runner = Arc::clone(&run);
         match std::thread::Builder::new()
-            .name(run.names.thread.into())
+            .name("rfic-job".into())
             .spawn(move || runner.drain())
         {
             Ok(_) => started += 1,
@@ -390,7 +365,7 @@ fn spawn_flows(
         // runner drains every flow on its own.
         for handle in &handles {
             handle.progress.finish(Err(PilpError::Internal {
-                site: run.names.spawn.to_string(),
+                site: "core.job.spawn".to_string(),
                 payload: e.to_string(),
             }));
         }
@@ -407,8 +382,7 @@ struct Run {
     next: AtomicUsize,
     cancel: CancelToken,
     pool: SolverPool,
-    cache: Option<Arc<FlowCache>>,
-    names: RunNames,
+    cache: Arc<FlowCache>,
 }
 
 impl Run {
@@ -425,7 +399,7 @@ impl Run {
                     cancel: self.cancel.clone(),
                     deadline: self.pilp.config().deadline.map(|d| Instant::now() + d),
                     pool: self.pool.clone(),
-                    cache: self.cache.clone(),
+                    cache: Arc::clone(&self.cache),
                     fingerprint: netlist.fingerprint(),
                     progress: Arc::clone(flow),
                     fatal: Slot::default(),
@@ -434,7 +408,7 @@ impl Run {
             }))
             .unwrap_or_else(|payload| {
                 Err(PilpError::Internal {
-                    site: self.names.panic.to_string(),
+                    site: "core.job.flow".to_string(),
                     payload: rfic_milp::panic_payload_string(payload.as_ref()),
                 })
             });
@@ -444,22 +418,12 @@ impl Run {
 }
 
 /// Spawns one job: a run of one netlist.
-pub(crate) fn spawn_job(
-    pilp: Pilp,
-    netlist: Netlist,
-    ctx: &JobContext,
-    use_cache: bool,
-) -> JobHandle {
-    let names = RunNames {
-        thread: "rfic-job",
-        panic: "core.job.flow",
-        spawn: "core.job.spawn",
-    };
-    let (_, mut handles) = spawn_flows(pilp, vec![netlist], ctx, use_cache, names);
+pub(crate) fn spawn_job(pilp: Pilp, netlist: Netlist, ctx: &JobContext) -> JobHandle {
+    let (_, mut handles) = spawn_flows(pilp, vec![netlist], ctx);
     handles.pop().expect("one handle per netlist")
 }
 
-/// Handle to a submitted parameter sweep ([`Pilp::submit_sweep`]).
+/// Handle to a submitted parameter sweep ([`Pilp::submit_sweep_in`]).
 ///
 /// A sweep is a run of many netlists: its variants **overlap**, started
 /// in submission order on up to one runner thread per pool worker, and
@@ -515,12 +479,7 @@ impl SweepHandle {
 /// Spawns a sweep: a run of the variants, sharing the context's pool and
 /// solve-site cache.
 pub(crate) fn spawn_sweep(pilp: Pilp, variants: Vec<Netlist>, ctx: &JobContext) -> SweepHandle {
-    let names = RunNames {
-        thread: "rfic-sweep",
-        panic: "core.job.sweep",
-        spawn: "core.job.sweep.spawn",
-    };
-    let (cancel, jobs) = spawn_flows(pilp, variants, ctx, true, names);
+    let (cancel, jobs) = spawn_flows(pilp, variants, ctx);
     SweepHandle { jobs, cancel }
 }
 

@@ -12,7 +12,7 @@
 //!   and overlap fixing, iterative refinement with chain-point
 //!   deletion/insertion and device rotation);
 //! * [`job`] and [`cache`] — the asynchronous layout-job API
-//!   ([`Pilp::submit`] → [`JobHandle`]) multiplexing every job's MILP
+//!   ([`Pilp::submit_in`] → [`JobHandle`]) multiplexing every job's MILP
 //!   solves over one shared [`rfic_milp::SolverPool`], with cancellation,
 //!   deadlines, progress and a cross-request solve-site cache;
 //! * [`layout`], [`drc`], [`report`] and [`render`] — the layout data model,
@@ -34,17 +34,20 @@
 //! # Ok::<(), rfic_core::PilpError>(())
 //! ```
 //!
-//! The same flow as an asynchronous job with progress and cancellation:
+//! The same flow as an asynchronous job with progress and cancellation,
+//! on a [`JobContext`] (solver pool and solve-site cache) the caller owns:
 //!
 //! ```no_run
-//! use rfic_core::{Pilp, PilpConfig};
+//! use rfic_core::{JobContext, Pilp, PilpConfig};
 //! use rfic_netlist::benchmarks;
 //!
 //! let circuit = benchmarks::tiny_circuit();
-//! let job = Pilp::new(PilpConfig::fast()).submit(&circuit.netlist);
+//! let ctx = JobContext::new(2);
+//! let job = Pilp::new(PilpConfig::fast()).submit_in(&circuit.netlist, &ctx);
 //! println!("{} solves so far", job.progress().solves);
 //! let result = job.wait()?;
 //! assert!(result.layout.is_complete(&circuit.netlist));
+//! ctx.shutdown();
 //! # Ok::<(), rfic_core::PilpError>(())
 //! ```
 

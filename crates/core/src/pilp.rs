@@ -385,12 +385,16 @@ impl Pilp {
     /// Runs the full three-phase flow on a netlist, blocking until the
     /// layout is done.
     ///
-    /// This is the **legacy single-shot entry point**, kept as a thin
-    /// wrapper over [`Pilp::submit`] followed by
-    /// [`crate::JobHandle::wait`]; new code that needs cancellation,
-    /// deadlines, progress or concurrent jobs should use the job API
-    /// directly. The solves run on the process-wide shared
-    /// [`crate::JobContext`] either way.
+    /// The run is one job on a [`crate::JobContext`] of its own, with
+    /// [`PilpConfig::solver_threads`] pool workers (`0` resolves as
+    /// [`rfic_milp::resolve_threads`] does), which is shut down before
+    /// `run` returns. Nothing carries over between calls: every
+    /// run starts from an empty [`crate::FlowCache`] and performs (and
+    /// reports) the full solver work; only a site the flow revisits
+    /// within the run replays from that run's cache. Callers that need
+    /// cancellation, deadlines, progress, concurrent jobs or a cache
+    /// shared across requests use [`Pilp::submit_in`] on a context they
+    /// own.
     ///
     /// # Errors
     ///
@@ -400,45 +404,32 @@ impl Pilp {
     /// violations in the report instead). With a
     /// [`PilpConfig::deadline`] configured the run can also fail with
     /// [`PilpError::DeadlineExceeded`].
-    ///
-    /// Unlike [`Pilp::submit`], `run` bypasses the cross-request
-    /// [`crate::FlowCache`]: a measurement run repeated in the same
-    /// process always performs (and reports) the full solver work.
     pub fn run(&self, netlist: &Netlist) -> Result<PilpResult, PilpError> {
-        crate::job::spawn_job(
-            self.clone(),
-            netlist.clone(),
-            crate::JobContext::global(),
-            false,
-        )
-        .wait()
+        let ctx = crate::JobContext::new(self.config.solver_threads);
+        let result = self.submit_in(netlist, &ctx).wait();
+        ctx.shutdown();
+        result
     }
 
-    /// Submits the netlist as an asynchronous layout job on the
-    /// process-wide [`crate::JobContext`] (a shared
-    /// [`rfic_milp::SolverPool`] plus the cross-request solve-site
+    /// Submits the netlist as an asynchronous layout job on `ctx` (a
+    /// shared [`rfic_milp::SolverPool`] plus the cross-request solve-site
     /// cache). Returns immediately with a [`crate::JobHandle`] for
     /// waiting, polling, progress and cancellation.
     ///
     /// # Examples
     ///
     /// ```
-    /// use rfic_core::{Pilp, PilpConfig};
+    /// use rfic_core::{JobContext, Pilp, PilpConfig};
     /// use rfic_netlist::benchmarks;
     ///
     /// let circuit = benchmarks::tiny_circuit();
-    /// let job = Pilp::new(PilpConfig::fast()).submit(&circuit.netlist);
+    /// let ctx = JobContext::new(2);
+    /// let job = Pilp::new(PilpConfig::fast()).submit_in(&circuit.netlist, &ctx);
     /// let result = job.wait()?;
     /// assert!(result.layout.is_complete(&circuit.netlist));
+    /// ctx.shutdown();
     /// # Ok::<(), rfic_core::PilpError>(())
     /// ```
-    pub fn submit(&self, netlist: &Netlist) -> crate::JobHandle {
-        self.submit_in(netlist, crate::JobContext::global())
-    }
-
-    /// [`Pilp::submit`] against an explicit [`crate::JobContext`] instead
-    /// of the process-wide one — the hook for servers that own their pool
-    /// lifecycle and for tests that need an isolated pool or cache.
     pub fn submit_in(&self, netlist: &Netlist, ctx: &crate::JobContext) -> crate::JobHandle {
         self.submit_owned_in(netlist.clone(), ctx)
     }
@@ -448,14 +439,13 @@ impl Pilp {
     /// services that parse netlists off the wire
     /// ([`rfic_netlist::wire`]) and have no further use for them.
     pub fn submit_owned_in(&self, netlist: Netlist, ctx: &crate::JobContext) -> crate::JobHandle {
-        crate::job::spawn_job(self.clone(), netlist, ctx, true)
+        crate::job::spawn_job(self.clone(), netlist, ctx)
     }
 
     /// Submits a **parameter sweep** — a batch of netlist variants that
     /// typically share their circuit structure and differ only in
-    /// parameter values (target lengths, layout area, spacing) — on the
-    /// process-wide [`crate::JobContext`]. Returns immediately with a
-    /// [`crate::SweepHandle`].
+    /// parameter values (target lengths, layout area, spacing) — on
+    /// `ctx`. Returns immediately with a [`crate::SweepHandle`].
     ///
     /// The variants run side by side, started in submission order on up
     /// to one runner thread per pool worker, each as a plain job on the
@@ -465,7 +455,7 @@ impl Pilp {
     /// # Examples
     ///
     /// ```no_run
-    /// use rfic_core::{Pilp, PilpConfig};
+    /// use rfic_core::{JobContext, Pilp, PilpConfig};
     /// use rfic_netlist::benchmarks;
     ///
     /// let circuit = benchmarks::tiny_circuit();
@@ -473,17 +463,14 @@ impl Pilp {
     ///     .iter()
     ///     .map(|s| circuit.netlist.with_target_scale(*s))
     ///     .collect();
-    /// let sweep = Pilp::new(PilpConfig::fast()).submit_sweep(&variants);
+    /// let ctx = JobContext::new(2);
+    /// let sweep = Pilp::new(PilpConfig::fast()).submit_sweep_in(&variants, &ctx);
     /// for result in sweep.wait() {
     ///     println!("{}", result?.report());
     /// }
+    /// ctx.shutdown();
     /// # Ok::<(), rfic_core::PilpError>(())
     /// ```
-    pub fn submit_sweep(&self, variants: &[Netlist]) -> crate::SweepHandle {
-        self.submit_sweep_in(variants, crate::JobContext::global())
-    }
-
-    /// [`Pilp::submit_sweep`] against an explicit [`crate::JobContext`].
     pub fn submit_sweep_in(
         &self,
         variants: &[Netlist],
@@ -1039,15 +1026,15 @@ impl Pilp {
     ///
     /// The solves honour the job's cancel token and deadline (per-round
     /// time limits are capped by the time remaining), run on the job's
-    /// shared solver pool, and memoize through the cross-request
-    /// [`crate::FlowCache`] when one is attached: a completed site whose
-    /// every round solved to proven optimality is stored under the
-    /// solve-site key, and an identical later request returns the
-    /// memoized layout without touching the solver at all. (Seeding the
-    /// warm *basis* instead was measured to diverge: the presolve
-    /// projection drops the dual steepest-edge weights, so a seeded replay
-    /// re-prices its pivots, lands on alternate optima and costs more than
-    /// a cold run.)
+    /// shared solver pool, and memoize through the job's
+    /// [`crate::FlowCache`]: a completed site whose every round solved to
+    /// proven optimality is stored under the solve-site key, and an
+    /// identical later site (in this job or a later one on the same
+    /// context) returns the memoized layout without touching the solver
+    /// at all. (Seeding the warm *basis* instead was measured to diverge:
+    /// the presolve projection drops the dual steepest-edge weights, so a
+    /// seeded replay re-prices its pivots, lands on alternate optima and
+    /// costs more than a cold run.)
     ///
     /// The site's phase — which keys and budgets it — is the one
     /// the control block reports ([`crate::job::FlowCtl::phase`]), and
@@ -1063,13 +1050,9 @@ impl Pilp {
         let mut options = self.solve_options(phase);
         options.cancel = Some(ctl.cancel_token().clone());
         let base_limit = options.time_limit;
-        let site_key = ctl
-            .cache()
-            .map(|_| solve_site_key(ctl.fingerprint(), phase, &config, &self.config, base));
-        if let (Some(cache), Some(key)) = (ctl.cache(), site_key) {
-            if let Some(layout) = cache.lookup(key) {
-                return Ok((layout, None));
-            }
+        let site_key = solve_site_key(ctl.fingerprint(), phase, &config, &self.config, base);
+        if let Some(layout) = ctl.cache().lookup(site_key) {
+            return Ok((layout, None));
         }
         let mut ilp = LayoutIlp::build(netlist, config, base)?;
         let mut warm = rfic_milp::WarmStart::new();
@@ -1124,8 +1107,8 @@ impl Pilp {
             }
         }
         if !aborted && provable {
-            if let (Some(cache), Some(key), Some(layout)) = (ctl.cache(), site_key, &best) {
-                cache.store(key, layout.clone());
+            if let Some(layout) = &best {
+                ctl.cache().store(site_key, layout.clone());
             }
         }
         best.map(|layout| (layout, root_bound))

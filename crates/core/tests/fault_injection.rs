@@ -163,7 +163,8 @@ fn sweep_variant_panic_fails_only_that_variant() {
     assert_eq!(results.len(), 2);
     match &results[0] {
         Err(PilpError::Internal { site, payload }) => {
-            assert_eq!(site, "core.job.sweep");
+            // A sweep variant is a plain job: its panic site is the job's.
+            assert_eq!(site, "core.job.flow");
             assert!(
                 payload.contains("failpoint:core.job.flow"),
                 "payload: {payload}"

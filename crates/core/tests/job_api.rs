@@ -1,7 +1,8 @@
 //! End-to-end contracts of the layout-job API: cancellation releases the
-//! shared pool, identical requests replay from the solve-site cache, and
-//! a job solves to the same layout whether it runs alone, next to
-//! another job or after other jobs on the same context.
+//! shared pool, identical requests replay from the solve-site cache, a
+//! job solves to the same layout whether it runs alone, next to another
+//! job or after other jobs on the same context, and `Pilp::run` is such a
+//! job on a context of its own.
 
 use std::time::{Duration, Instant};
 
@@ -217,4 +218,34 @@ fn job_layout_is_independent_of_earlier_jobs() {
     let svg = render::svg(&second_name, &second.layout);
     assert_eq!(svg, render::svg(&first_name, &first.layout));
     assert_eq!(svg, render::svg(&second_name, &fresh.layout));
+}
+
+/// `Pilp::run` is a plain job on a context of its own: it returns the
+/// layout, SVG and solver totals of a submission on a fresh context, and
+/// a second run in the same process repeats all three, so nothing carries
+/// over from one call to the next.
+#[test]
+fn run_matches_a_fresh_context_submission_and_repeats_exactly() {
+    let circuit = benchmarks::tiny_circuit();
+    let pilp = Pilp::new(PilpConfig::fast());
+    let submitted = {
+        let ctx = JobContext::new(2);
+        let result = pilp
+            .submit_in(&circuit.netlist, &ctx)
+            .wait()
+            .expect("submitted job");
+        ctx.shutdown();
+        result
+    };
+    let svg = render::svg(&circuit.netlist, &submitted.layout);
+    for call in 1..=2 {
+        let run = pilp.run(&circuit.netlist).expect("run");
+        assert_eq!(run.layout, submitted.layout, "run {call}: layout");
+        assert_eq!(
+            render::svg(&circuit.netlist, &run.layout),
+            svg,
+            "run {call}: SVG"
+        );
+        assert_eq!(run.solver, submitted.solver, "run {call}: solver totals");
+    }
 }

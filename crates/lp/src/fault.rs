@@ -18,11 +18,9 @@
 //! * [`Fault::Delay`] — sleep before continuing, proving deadline
 //!   accounting.
 //!
-//! Arming is either programmatic (`FaultPlan::install`, which also
-//! serialises concurrent fault tests within one process) or via the
-//! `RFIC_FAILPOINTS` environment variable
-//! (`"site=panic;other=singular*2;slow=delay:500"` — `*N` fires the
-//! fault `N` times, default once).
+//! Tests arm sites with `FaultPlan::install`, which also serialises
+//! concurrent fault tests within one process; an armed fault fires a set
+//! number of times, default once.
 //!
 //! Without the `failpoints` cargo feature every site compiles to an
 //! inlined no-op returning `false`: production builds carry no registry,
@@ -114,77 +112,27 @@ mod plan {
 #[cfg(feature = "failpoints")]
 mod imp {
     use super::Fault;
-    use std::collections::HashMap;
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    struct Armed {
-        fault: Fault,
-        remaining: usize,
-    }
-
-    /// `None` = not yet initialised from `RFIC_FAILPOINTS`.
-    static PLAN: Mutex<Option<HashMap<String, Armed>>> = Mutex::new(None);
+    /// The armed sites: site name, fault and firings left.
+    static PLAN: Mutex<Vec<(String, Fault, usize)>> = Mutex::new(Vec::new());
     /// Serialises tests that install fault plans (held by [`Guard`]).
     static SCOPE: Mutex<()> = Mutex::new(());
 
-    fn lock_plan() -> MutexGuard<'static, Option<HashMap<String, Armed>>> {
+    fn lock_plan() -> MutexGuard<'static, Vec<(String, Fault, usize)>> {
         PLAN.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// `"site=panic;other=singular*2;slow=delay:500"` — malformed
-    /// entries are ignored.
-    fn parse_env(spec: &str) -> HashMap<String, Armed> {
-        let mut map = HashMap::new();
-        for entry in spec.split(';') {
-            let entry = entry.trim();
-            let Some((site, rhs)) = entry.split_once('=') else {
-                continue;
-            };
-            let (kind, times) = match rhs.split_once('*') {
-                Some((kind, n)) => (kind, n.parse::<usize>().unwrap_or(1)),
-                None => (rhs, 1),
-            };
-            let fault = if kind == "panic" {
-                Fault::Panic
-            } else if kind == "singular" {
-                Fault::Singular
-            } else if let Some(ms) = kind.strip_prefix("delay:") {
-                match ms.parse::<u64>() {
-                    Ok(ms) => Fault::Delay(ms),
-                    Err(_) => continue,
-                }
-            } else {
-                continue;
-            };
-            map.insert(
-                site.to_string(),
-                Armed {
-                    fault,
-                    remaining: times,
-                },
-            );
-        }
-        map
     }
 
     pub(super) fn fire(site: &str) -> bool {
         // Resolve and consume the fault with the lock held, act on it
         // after release: a panic must not poison the plan registry.
-        let fault = {
-            let mut plan = lock_plan();
-            let map = plan.get_or_insert_with(|| {
-                std::env::var("RFIC_FAILPOINTS")
-                    .map(|spec| parse_env(&spec))
-                    .unwrap_or_default()
+        let fault = lock_plan()
+            .iter_mut()
+            .find(|(armed, _, remaining)| armed == site && *remaining > 0)
+            .map(|(_, fault, remaining)| {
+                *remaining -= 1;
+                *fault
             });
-            match map.get_mut(site) {
-                Some(armed) if armed.remaining > 0 => {
-                    armed.remaining -= 1;
-                    Some(armed.fault)
-                }
-                _ => None,
-            }
-        };
         match fault {
             Some(Fault::Panic) => panic!("failpoint:{site}"),
             Some(Fault::Singular) => true,
@@ -203,25 +151,13 @@ mod imp {
 
     impl Drop for Guard {
         fn drop(&mut self) {
-            // Disarm everything; an empty (initialised) plan also stops
-            // `RFIC_FAILPOINTS` from re-arming within this process.
-            *lock_plan() = Some(HashMap::new());
+            lock_plan().clear();
         }
     }
 
     pub(super) fn install(sites: Vec<(String, Fault, usize)>) -> Guard {
         let scope = SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut map = HashMap::new();
-        for (site, fault, times) in sites {
-            map.insert(
-                site,
-                Armed {
-                    fault,
-                    remaining: times,
-                },
-            );
-        }
-        *lock_plan() = Some(map);
+        *lock_plan() = sites;
         Guard { _scope: scope }
     }
 }

@@ -911,8 +911,9 @@ fn finish(
 
     // Geometric-mean equilibration with power-of-two factors. Integer
     // columns keep s_j = 1 (branching stays exact) and rows touching only
-    // integer columns keep r_i = 1 (clique/cover detection in the MILP
-    // layer relies on unit coefficients surviving).
+    // integer columns keep r_i = 1: the flow's equilibrated layout models
+    // pivot along this rule, so their recorded pivot counts and layouts
+    // assume it.
     //
     // Only engaged when the coefficient spread exceeds the configured
     // trigger: on an already well-scaled matrix equilibration cannot
@@ -931,6 +932,18 @@ fn finish(
             .iter()
             .map(|&fi| work.rows[fi].coeffs.iter().any(|&(j, _)| !is_int(j)))
             .collect();
+        // The factor that brings a line's extreme scaled magnitudes to a
+        // geometric mean of 1, rounded to a power of two.
+        let rescale = |scale: &mut f64, vmin: f64, vmax: f64| {
+            if vmax > 0.0 && vmin.is_finite() {
+                let g = (vmin * vmax).sqrt();
+                if g > 0.0 {
+                    *scale = pow2_round(*scale / g);
+                }
+            }
+        };
+        let mut col_min = vec![f64::INFINITY; n];
+        let mut col_max = vec![0.0f64; n];
         for _ in 0..3 {
             // Row pass over current scaled magnitudes.
             for (i, &fi) in kept_rows.iter().enumerate() {
@@ -946,36 +959,24 @@ fn finish(
                         vmax = vmax.max(v);
                     }
                 }
-                if vmax > 0.0 && vmin.is_finite() {
-                    let g = (vmin * vmax).sqrt();
-                    if g > 0.0 {
-                        row_scale[fi] = pow2_round(row_scale[fi] / g);
+                rescale(&mut row_scale[fi], vmin, vmax);
+            }
+            // Column pass: one sweep over the kept rows collects every
+            // column's extremes, then each continuous column rescales.
+            col_min.fill(f64::INFINITY);
+            col_max.fill(0.0);
+            for &fi in &kept_rows {
+                for &(j, a) in &work.rows[fi].coeffs {
+                    let v = a.abs() * row_scale[fi] * col_scale[j];
+                    if v > DROP_TOL {
+                        col_min[j] = col_min[j].min(v);
+                        col_max[j] = col_max[j].max(v);
                     }
                 }
             }
-            // Column pass.
             for &fj in &kept_cols {
-                if is_int(fj) {
-                    continue;
-                }
-                let mut vmin = f64::INFINITY;
-                let mut vmax = 0.0f64;
-                for &fi in &kept_rows {
-                    for &(j, a) in &work.rows[fi].coeffs {
-                        if j == fj {
-                            let v = a.abs() * row_scale[fi] * col_scale[fj];
-                            if v > DROP_TOL {
-                                vmin = vmin.min(v);
-                                vmax = vmax.max(v);
-                            }
-                        }
-                    }
-                }
-                if vmax > 0.0 && vmin.is_finite() {
-                    let g = (vmin * vmax).sqrt();
-                    if g > 0.0 {
-                        col_scale[fj] = pow2_round(col_scale[fj] / g);
-                    }
+                if !is_int(fj) {
+                    rescale(&mut col_scale[fj], col_min[fj], col_max[fj]);
                 }
             }
         }
