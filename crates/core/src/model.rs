@@ -264,8 +264,6 @@ pub struct LayoutIlp<'a> {
     big_m: f64,
     /// Box-variable cache shared by every overlap pair ever added.
     overlap_cache: BTreeMap<ObjectId, BoxRef>,
-    /// Serial number for naming overlap constraint variables.
-    overlap_serial: usize,
 }
 
 impl<'a> LayoutIlp<'a> {
@@ -294,7 +292,6 @@ impl<'a> LayoutIlp<'a> {
             // constraint (coordinate differences minus a segment length).
             big_m: 2.0 * (netlist.area().0 + netlist.area().1),
             overlap_cache: BTreeMap::new(),
-            overlap_serial: 0,
         };
         builder.add_device_variables()?;
         builder.add_strip_variables()?;
@@ -373,7 +370,7 @@ impl<'a> LayoutIlp<'a> {
         })
     }
 
-    /// Builds the LP relaxation of the underlying MILP.
+    /// A copy of the LP relaxation of the underlying MILP.
     pub fn relaxation(&self) -> rfic_lp::LinearProgram {
         self.model.relaxation()
     }
@@ -396,15 +393,12 @@ impl<'a> LayoutIlp<'a> {
                 if !free {
                     continue;
                 }
-                let x = self
-                    .model
-                    .add_continuous(format!("jx_{}", device.id), 0.0, aw, 0.0);
-                let y = self
-                    .model
-                    .add_continuous(format!("jy_{}", device.id), 0.0, ah, 0.0);
-                self.apply_window(device.id, x, y);
+                let (lo_x, hi_x, lo_y, hi_y) =
+                    window_bounds(self.config.device_windows.get(&device.id), (aw, ah));
+                let x = self.model.add_continuous(lo_x, hi_x, 0.0);
+                let y = self.model.add_continuous(lo_y, hi_y, 0.0);
                 if device.is_pad() {
-                    self.add_pad_boundary(device.id, x, y);
+                    self.add_pad_boundary(x, y);
                 }
                 self.junction_vars.insert(device.id, (x, y));
             } else {
@@ -424,20 +418,10 @@ impl<'a> LayoutIlp<'a> {
                     lo_y = lo_y.max(window.min.y);
                     hi_y = hi_y.min(window.max.y);
                 }
-                let x = self.model.add_continuous(
-                    format!("dx_{}", device.id),
-                    lo_x,
-                    hi_x.max(lo_x),
-                    0.0,
-                );
-                let y = self.model.add_continuous(
-                    format!("dy_{}", device.id),
-                    lo_y,
-                    hi_y.max(lo_y),
-                    0.0,
-                );
+                let x = self.model.add_continuous(lo_x, hi_x.max(lo_x), 0.0);
+                let y = self.model.add_continuous(lo_y, hi_y.max(lo_y), 0.0);
                 if device.is_pad() {
-                    self.add_pad_boundary(device.id, x, y);
+                    self.add_pad_boundary(x, y);
                 }
                 self.device_vars.insert(device.id, (x, y));
             }
@@ -445,24 +429,12 @@ impl<'a> LayoutIlp<'a> {
         Ok(())
     }
 
-    fn apply_window(&mut self, device: DeviceId, x: VarId, y: VarId) {
-        if let Some(window) = self.config.device_windows.get(&device) {
-            let (aw, ah) = self.netlist.area();
-            self.model
-                .set_var_bounds(x, window.min.x.max(0.0), window.max.x.min(aw));
-            self.model
-                .set_var_bounds(y, window.min.y.max(0.0), window.max.y.min(ah));
-        }
-    }
-
     /// Pad-on-boundary constraint (15), expressed as the equivalent
     /// disjunction "centre lies on one of the four boundary lines".
-    fn add_pad_boundary(&mut self, device: DeviceId, x: VarId, y: VarId) {
+    fn add_pad_boundary(&mut self, x: VarId, y: VarId) {
         let (aw, ah) = self.netlist.area();
         let m = self.big_m;
-        let selectors: Vec<VarId> = (0..4)
-            .map(|k| self.model.add_binary(format!("pad_{device}_side{k}"), 0.0))
-            .collect();
+        let selectors: Vec<VarId> = (0..4).map(|_| self.model.add_binary(0.0)).collect();
         linearize::indicator_eq(&mut self.model, selectors[0], LinExpr::from(x), 0.0, m);
         linearize::indicator_eq(&mut self.model, selectors[1], LinExpr::from(x), aw, m);
         linearize::indicator_eq(&mut self.model, selectors[2], LinExpr::from(y), 0.0, m);
@@ -474,31 +446,17 @@ impl<'a> LayoutIlp<'a> {
         let (aw, ah) = self.netlist.area();
         let strips: Vec<MicrostripId> = self.config.free_strips.iter().copied().collect();
         for strip_id in strips {
-            let strip = self
-                .netlist
+            self.netlist
                 .microstrip(strip_id)
-                .ok_or_else(|| IlpError::UnknownObject(format!("{strip_id}")))?
-                .clone();
+                .ok_or_else(|| IlpError::UnknownObject(format!("{strip_id}")))?;
             let n = self.config.chain_points_for(self.netlist, strip_id);
-            let window = self.config.strip_windows.get(&strip_id).copied();
-            let (lo_x, hi_x, lo_y, hi_y) = match window {
-                Some(w) => (
-                    w.min.x.max(0.0),
-                    w.max.x.min(aw),
-                    w.min.y.max(0.0),
-                    w.max.y.min(ah),
-                ),
-                None => (0.0, aw, 0.0, ah),
-            };
+            let (lo_x, hi_x, lo_y, hi_y) =
+                window_bounds(self.config.strip_windows.get(&strip_id), (aw, ah));
 
             let mut points = Vec::with_capacity(n);
-            for j in 0..n {
-                let x = self
-                    .model
-                    .add_continuous(format!("x_{strip_id}_{j}"), lo_x, hi_x, 0.0);
-                let y = self
-                    .model
-                    .add_continuous(format!("y_{strip_id}_{j}"), lo_y, hi_y, 0.0);
+            for _ in 0..n {
+                let x = self.model.add_continuous(lo_x, hi_x, 0.0);
+                let y = self.model.add_continuous(lo_y, hi_y, 0.0);
                 points.push((x, y));
             }
 
@@ -508,22 +466,20 @@ impl<'a> LayoutIlp<'a> {
             let min_seg = self.netlist.tech().min_segment_length;
             for j in 0..n - 1 {
                 let dirs = [
-                    self.model.add_binary(format!("s_u_{strip_id}_{j}"), 0.0),
-                    self.model.add_binary(format!("s_d_{strip_id}_{j}"), 0.0),
-                    self.model.add_binary(format!("s_l_{strip_id}_{j}"), 0.0),
-                    self.model.add_binary(format!("s_r_{strip_id}_{j}"), 0.0),
+                    self.model.add_binary(0.0),
+                    self.model.add_binary(0.0),
+                    self.model.add_binary(0.0),
+                    self.model.add_binary(0.0),
                 ];
                 // (1): exactly one direction per segment.
                 self.model.add_eq(LinExpr::sum(dirs.iter().copied()), 1.0);
 
-                let len = self
-                    .model
-                    .add_continuous(format!("l_{strip_id}_{j}"), 0.0, aw + ah, 0.0);
+                let len = self.model.add_continuous(0.0, aw + ah, 0.0);
                 // A segment is either *active* with at least the minimum
                 // manufacturable length, or degenerate (zero length). This
                 // prevents the solver from registering "phantom" bends on
                 // zero-length segments to tweak the equivalent length.
-                let act = self.model.add_binary(format!("a_{strip_id}_{j}"), 0.0);
+                let act = self.model.add_binary(0.0);
                 self.model.add_le(LinExpr::from(len) - (act, aw + ah), 0.0);
                 self.model.add_ge(LinExpr::from(len) - (act, min_seg), 0.0);
                 active.push(act);
@@ -615,15 +571,12 @@ impl<'a> LayoutIlp<'a> {
             for j in 1..directions.len() {
                 let prev = directions[j - 1];
                 let here = directions[j];
-                let t_hv = self.model.add_binary(format!("t_hv_{strip_id}_{j}"), 0.0);
-                let u_hv = self
-                    .model
-                    .add_continuous(format!("u_hv_{strip_id}_{j}"), 0.0, 1.0, 0.0);
-                let t_vh = self.model.add_binary(format!("t_vh_{strip_id}_{j}"), 0.0);
-                let u_vh = self
-                    .model
-                    .add_continuous(format!("u_vh_{strip_id}_{j}"), 0.0, 1.0, 0.0);
-                let t = self.model.add_binary(format!("t_{strip_id}_{j}"), 0.0);
+                let t_hv = self.model.add_binary(0.0);
+                let u_hv = self.model.add_continuous(0.0, 1.0, 0.0);
+                let t_vh = self.model.add_binary(0.0);
+                let u_vh = self.model.add_continuous(0.0, 1.0, 0.0);
+                // β · Σ n_b,i term of the objective (21)/(26).
+                let t = self.model.add_binary(self.config.weights.beta);
                 // (8): prev horizontal, next vertical.
                 self.model.add_eq(
                     LinExpr::from(prev[3]) + prev[2] + here[0] + here[1] - (t_hv, 2.0) - u_hv,
@@ -639,7 +592,6 @@ impl<'a> LayoutIlp<'a> {
                 bends.push(t);
             }
 
-            let _ = strip;
             self.strip_vars.insert(
                 strip_id,
                 StripVars {
@@ -691,21 +643,14 @@ impl<'a> LayoutIlp<'a> {
                 self.model.add_eq(leq, target);
             } else {
                 // (24)–(25): soft deviation variables.
-                let lu = self.model.add_continuous(
-                    format!("lu_{strip_id}"),
-                    0.0,
-                    self.big_m,
-                    weights.zeta,
-                );
+                let lu = self.model.add_continuous(0.0, self.big_m, weights.zeta);
                 self.model.add_ge(LinExpr::from(lu) + leq.clone(), target);
                 self.model.add_ge(LinExpr::from(lu) - leq, -target);
                 lu_vars.push(lu);
             }
         }
         if !self.config.hard_length && !lu_vars.is_empty() {
-            let lu_max = self
-                .model
-                .add_continuous("lu_max", 0.0, self.big_m, weights.gamma);
+            let lu_max = self.model.add_continuous(0.0, self.big_m, weights.gamma);
             for lu in lu_vars {
                 self.model.add_ge(LinExpr::from(lu_max) - lu, 0.0);
             }
@@ -781,12 +726,11 @@ impl<'a> LayoutIlp<'a> {
         Ok(())
     }
 
-    /// Objective terms (21)/(26): `α·n_b,max + β·Σ n_b,i` (the length and
-    /// overlap terms are attached to their variables where they are
-    /// created).
+    /// Objective term (21)/(26) `α·n_b,max` (the bend, length and overlap
+    /// terms are attached to their variables where they are created).
     fn add_objective_bend_terms(&mut self) {
         let weights = self.config.weights;
-        let nb_max = self.model.add_continuous("nb_max", 0.0, 1e3, weights.alpha);
+        let nb_max = self.model.add_continuous(0.0, 1e3, weights.alpha);
         // Fixed strips contribute constant bend counts to the max.
         let fixed_max = fixed_bend_floor(self.netlist, &self.config, &self.base);
         self.model.add_ge(LinExpr::from(nb_max), fixed_max as f64);
@@ -794,8 +738,6 @@ impl<'a> LayoutIlp<'a> {
             let mut nb = LinExpr::new();
             for bend in &vars.bends {
                 nb.add_term(*bend, 1.0);
-                // β · Σ n_b,i term.
-                self.model.add_objective_coeff(*bend, weights.beta);
             }
             // nb_max >= nb_i (11)/(21).
             self.model.add_ge(LinExpr::from(nb_max) - nb, 0.0);
@@ -824,18 +766,10 @@ impl<'a> LayoutIlp<'a> {
                     let half_w = w / 2.0 + margin;
                     let half_h = h / 2.0 + margin;
                     let (aw, ah) = self.netlist.area();
-                    let xl = self
-                        .model
-                        .add_continuous(format!("bxl_{id}"), -2.0 * half_w, aw, 0.0);
-                    let xr =
-                        self.model
-                            .add_continuous(format!("bxr_{id}"), 0.0, aw + 2.0 * half_w, 0.0);
-                    let yd = self
-                        .model
-                        .add_continuous(format!("byd_{id}"), -2.0 * half_h, ah, 0.0);
-                    let yu =
-                        self.model
-                            .add_continuous(format!("byu_{id}"), 0.0, ah + 2.0 * half_h, 0.0);
+                    let xl = self.model.add_continuous(-2.0 * half_w, aw, 0.0);
+                    let xr = self.model.add_continuous(0.0, aw + 2.0 * half_w, 0.0);
+                    let yd = self.model.add_continuous(-2.0 * half_h, ah, 0.0);
+                    let yu = self.model.add_continuous(0.0, ah + 2.0 * half_h, 0.0);
                     self.model
                         .add_eq_expr(LinExpr::from(xl), LinExpr::from(dx) - half_w);
                     self.model
@@ -849,18 +783,10 @@ impl<'a> LayoutIlp<'a> {
                     // Blurred free device: treat as a point with margin.
                     let &(jx, jy) = self.junction_vars.get(&id).expect("junction");
                     let (aw, ah) = self.netlist.area();
-                    let xl = self
-                        .model
-                        .add_continuous(format!("bxl_{id}"), -2.0 * margin, aw, 0.0);
-                    let xr =
-                        self.model
-                            .add_continuous(format!("bxr_{id}"), 0.0, aw + 2.0 * margin, 0.0);
-                    let yd = self
-                        .model
-                        .add_continuous(format!("byd_{id}"), -2.0 * margin, ah, 0.0);
-                    let yu =
-                        self.model
-                            .add_continuous(format!("byu_{id}"), 0.0, ah + 2.0 * margin, 0.0);
+                    let xl = self.model.add_continuous(-2.0 * margin, aw, 0.0);
+                    let xr = self.model.add_continuous(0.0, aw + 2.0 * margin, 0.0);
+                    let yd = self.model.add_continuous(-2.0 * margin, ah, 0.0);
+                    let yu = self.model.add_continuous(0.0, ah + 2.0 * margin, 0.0);
                     self.model
                         .add_eq_expr(LinExpr::from(xl), LinExpr::from(jx) - margin);
                     self.model
@@ -890,30 +816,10 @@ impl<'a> LayoutIlp<'a> {
                     let dirs = vars.directions[seg];
                     let (aw, ah) = self.netlist.area();
                     let pad = half_w + margin;
-                    let xl = self.model.add_continuous(
-                        format!("sxl_{strip_id}_{seg}"),
-                        -2.0 * pad,
-                        aw,
-                        0.0,
-                    );
-                    let xr = self.model.add_continuous(
-                        format!("sxr_{strip_id}_{seg}"),
-                        0.0,
-                        aw + 2.0 * pad,
-                        0.0,
-                    );
-                    let yd = self.model.add_continuous(
-                        format!("syd_{strip_id}_{seg}"),
-                        -2.0 * pad,
-                        ah,
-                        0.0,
-                    );
-                    let yu = self.model.add_continuous(
-                        format!("syu_{strip_id}_{seg}"),
-                        0.0,
-                        ah + 2.0 * pad,
-                        0.0,
-                    );
+                    let xl = self.model.add_continuous(-2.0 * pad, aw, 0.0);
+                    let xr = self.model.add_continuous(0.0, aw + 2.0 * pad, 0.0);
+                    let yd = self.model.add_continuous(-2.0 * pad, ah, 0.0);
+                    let yu = self.model.add_continuous(0.0, ah + 2.0 * pad, 0.0);
                     // Extension along x is `margin` for horizontal segments and
                     // `margin + w/2` for vertical ones (and vice versa for y):
                     //   ext_x = margin + (w/2)(s_u + s_d)
@@ -999,19 +905,15 @@ impl<'a> LayoutIlp<'a> {
             if !free_a && !free_b {
                 continue;
             }
-            let k = self.overlap_serial;
-            self.overlap_serial += 1;
             added += 1;
             let box_a = self.box_ref(pair.a)?;
             let box_b = self.box_ref(pair.b)?;
             let (axl, axr, ayd, ayu) = self.box_side_exprs(box_a);
             let (bxl, bxr, byd, byu) = self.box_side_exprs(box_b);
 
-            let u: Vec<VarId> = (0..4)
-                .map(|q| self.model.add_binary(format!("ov_{k}_{q}"), 0.0))
-                .collect();
+            let u: Vec<VarId> = (0..4).map(|_| self.model.add_binary(0.0)).collect();
             let slack = if self.config.overlap_slack {
-                Some(self.model.add_continuous(format!("ovs_{k}"), 0.0, m, eta))
+                Some(self.model.add_continuous(0.0, m, eta))
             } else {
                 None
             };
@@ -1105,6 +1007,19 @@ impl<'a> LayoutIlp<'a> {
 
         layout
     }
+}
+
+/// Bounds `(lo_x, hi_x, lo_y, hi_y)` of a point kept inside `window`,
+/// clipped to the layout area `(aw, ah)`; the whole area without one.
+fn window_bounds(window: Option<&Rect>, (aw, ah): (f64, f64)) -> (f64, f64, f64, f64) {
+    window.map_or((0.0, aw, 0.0, ah), |w| {
+        (
+            w.min.x.max(0.0),
+            w.max.x.min(aw),
+            w.min.y.max(0.0),
+            w.max.y.min(ah),
+        )
+    })
 }
 
 /// The largest bend count among the strips `config` keeps fixed at their

@@ -6,7 +6,7 @@ use std::time::Duration;
 use rfic_netlist::{MicrostripId, Netlist};
 use serde::{Deserialize, Serialize};
 
-use crate::drc::{self, DrcOptions, DrcReport};
+use crate::drc::{self, DrcOptions};
 use crate::layout::Layout;
 
 /// Per-microstrip quality record.
@@ -55,27 +55,7 @@ pub struct LayoutReport {
 impl LayoutReport {
     /// Builds a report for `layout` against `netlist`.
     pub fn new(netlist: &Netlist, layout: &Layout, runtime: Duration) -> LayoutReport {
-        Self::with_drc(netlist, layout, runtime, &DrcOptions::default())
-    }
-
-    /// Builds a report using custom DRC tolerances.
-    pub fn with_drc(
-        netlist: &Netlist,
-        layout: &Layout,
-        runtime: Duration,
-        drc_options: &DrcOptions,
-    ) -> LayoutReport {
-        let drc = drc::check(netlist, layout, drc_options);
-        Self::from_parts(netlist, layout, runtime, &drc)
-    }
-
-    /// Builds a report from an already computed DRC result.
-    pub fn from_parts(
-        netlist: &Netlist,
-        layout: &Layout,
-        runtime: Duration,
-        drc: &DrcReport,
-    ) -> LayoutReport {
+        let drc = drc::check(netlist, layout, &DrcOptions::default());
         let strips: Vec<StripReport> = netlist
             .microstrips()
             .iter()

@@ -66,12 +66,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Complex {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Multiplicative inverse.
     #[inline]
     pub fn recip(self) -> Complex {
@@ -205,7 +199,6 @@ mod tests {
         assert!((z.phase() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         assert_eq!(Complex::new(3.0, 4.0).magnitude(), 5.0);
         assert_eq!(Complex::new(3.0, 4.0).magnitude_squared(), 25.0);
-        assert_eq!(Complex::new(1.0, -2.0).conj(), Complex::new(1.0, 2.0));
     }
 
     #[test]

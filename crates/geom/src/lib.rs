@@ -71,18 +71,6 @@ pub fn approx_le(a: f64, b: f64) -> bool {
     a <= b + EPS
 }
 
-/// Returns `true` if `a >= b` within [`EPS`].
-///
-/// # Examples
-///
-/// ```
-/// assert!(rfic_geom::approx_ge(1.0 - 1e-9, 1.0));
-/// ```
-#[inline]
-pub fn approx_ge(a: f64, b: f64) -> bool {
-    a + EPS >= b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,9 +80,7 @@ mod tests {
         assert!(approx_eq(0.0, EPS * 0.5));
         assert!(!approx_eq(0.0, EPS * 10.0));
         assert!(approx_le(1.0, 1.0));
-        assert!(approx_ge(1.0, 1.0));
         assert!(approx_le(0.999_999_999, 1.0));
         assert!(!approx_le(1.001, 1.0));
-        assert!(!approx_ge(0.999, 1.0));
     }
 }

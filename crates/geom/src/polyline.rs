@@ -8,7 +8,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Direction, Point, Rect, Segment, SegmentError, EPS};
+use crate::{Direction, Point, Rect, Segment, SegmentError};
 
 /// A rectilinear polyline: the ordered chain points of a routed microstrip.
 ///
@@ -218,17 +218,10 @@ impl Polyline {
         }
     }
 
-    /// `true` if any coordinate lies outside `area` by more than [`EPS`].
+    /// `true` if any coordinate lies outside `area` by more than
+    /// [`EPS`](crate::EPS).
     pub fn escapes(&self, area: &Rect) -> bool {
         self.points.iter().any(|&p| !area.contains(p))
-    }
-
-    /// `true` if all segment lengths are at least `min_len` or degenerate.
-    pub fn respects_min_segment_length(&self, min_len: f64) -> bool {
-        self.points.windows(2).all(|w| {
-            let l = w[0].manhattan_distance(w[1]);
-            l <= EPS || l + EPS >= min_len
-        })
     }
 }
 
@@ -337,13 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn segments_and_min_length() {
+    fn segments_of_a_route() {
         let route = pl(&[(0.0, 0.0), (10.0, 0.0), (10.0, 3.0)]);
         let segs = route.segments(2.0).expect("valid width");
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].length(), 10.0);
-        assert!(route.respects_min_segment_length(3.0));
-        assert!(!route.respects_min_segment_length(5.0));
     }
 
     #[test]

@@ -175,13 +175,6 @@ impl Rect {
         }
     }
 
-    /// Area of the intersection of the two rectangles (zero if disjoint).
-    pub fn overlap_area(&self, other: &Rect) -> f64 {
-        self.overlap_extents(other)
-            .map(|(w, h)| w * h)
-            .unwrap_or(0.0)
-    }
-
     /// Intersection rectangle, if the closed rectangles intersect.
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
         let min = self.min.max(other.min);
@@ -289,9 +282,6 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c), "touching edges are not overlap");
         assert!(!a.overlaps(&d));
-        assert_eq!(a.overlap_area(&b), 25.0);
-        assert_eq!(a.overlap_area(&c), 0.0);
-        assert_eq!(a.overlap_area(&d), 0.0);
         assert_eq!(a.intersection(&b), Some(rect(5.0, 5.0, 10.0, 10.0)));
         assert!(a.intersection(&d).is_none());
     }

@@ -190,12 +190,6 @@ impl Postsolve {
         self.objective_offset
     }
 
-    /// Whether this transform is a no-op (presolve disabled or nothing to
-    /// reduce, and all scale factors exactly one).
-    pub fn is_identity(&self) -> bool {
-        self.identity
-    }
-
     /// Original indices of the columns that survive into the reduced
     /// problem, in reduced-column order.
     pub fn kept_columns(&self) -> &[usize] {
@@ -1093,7 +1087,7 @@ mod tests {
     fn disabled_config_is_identity() {
         let lp = sample_lp();
         let pre = lp.presolve(&PresolveConfig::off(), None).unwrap();
-        assert!(pre.postsolve.is_identity());
+        assert!(pre.postsolve.identity);
         assert_eq!(pre.lp.num_vars(), lp.num_vars());
         assert_eq!(pre.lp.num_constraints(), lp.num_constraints());
         assert_eq!(pre.stats.rows_removed, 0);

@@ -14,11 +14,11 @@ use crate::model::VarId;
 /// # Examples
 ///
 /// ```
-/// use rfic_milp::{LinExpr, Model, Sense, VarKind};
+/// use rfic_milp::{LinExpr, Model, Sense};
 ///
 /// let mut m = Model::new(Sense::Minimize);
-/// let x = m.add_continuous("x", 0.0, 10.0, 0.0);
-/// let y = m.add_continuous("y", 0.0, 10.0, 0.0);
+/// let x = m.add_continuous(0.0, 10.0, 0.0);
+/// let y = m.add_continuous(0.0, 10.0, 0.0);
 /// let expr = LinExpr::from(x) * 2.0 + (y, -1.0) + 3.0;
 /// assert_eq!(expr.coeff(x), 2.0);
 /// assert_eq!(expr.coeff(y), -1.0);
@@ -81,16 +81,6 @@ impl LinExpr {
     /// Iterator over `(var, coeff)` terms in variable order.
     pub fn terms(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
         self.terms.iter().map(|(&v, &c)| (v, c))
-    }
-
-    /// Number of variables with non-zero coefficient.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// `true` if the expression has no variable terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// Evaluates the expression for a full assignment of variable values
@@ -210,8 +200,8 @@ mod tests {
 
     fn vars() -> (Model, VarId, VarId) {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", VarKind::Continuous, 0.0, 1.0, 0.0);
-        let y = m.add_var("y", VarKind::Continuous, 0.0, 1.0, 0.0);
+        let x = m.add_var(VarKind::Continuous, 0.0, 1.0, 0.0);
+        let y = m.add_var(VarKind::Continuous, 0.0, 1.0, 0.0);
         (m, x, y)
     }
 
@@ -222,9 +212,9 @@ mod tests {
         assert_eq!(e.coeff(x), 3.0);
         assert_eq!(e.coeff(y), 2.0);
         assert_eq!(e.constant(), -1.0);
-        assert_eq!(e.num_terms(), 2);
+        assert_eq!(e.terms.len(), 2);
         let e2 = -e.clone() + e.clone();
-        assert!(e2.is_constant());
+        assert!(e2.terms.is_empty());
         assert_eq!(e2.constant(), 0.0);
     }
 
@@ -232,8 +222,7 @@ mod tests {
     fn cancelling_terms_are_removed() {
         let (_m, x, _y) = vars();
         let e = LinExpr::from(x) - x;
-        assert!(e.is_constant());
-        assert_eq!(e.num_terms(), 0);
+        assert!(e.terms.is_empty());
     }
 
     #[test]

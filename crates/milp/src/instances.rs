@@ -89,11 +89,11 @@ pub fn seeded_knapsack(items: usize, seed: u64) -> Model {
     let mut m = Model::new(Sense::Maximize);
     let mut cap = LinExpr::new();
     let mut total_weight = 0u64;
-    for i in 0..items {
+    for _ in 0..items {
         let weight = rng.in_range(20, 69);
         let value = weight + 10 + rng.in_range(0, 5);
         total_weight += weight;
-        let x = m.add_binary(format!("x{i}"), value as f64);
+        let x = m.add_binary(value as f64);
         cap.add_term(x, weight as f64);
     }
     m.add_le(cap, (total_weight / 2) as f64);
@@ -113,13 +113,13 @@ pub fn seeded_facility(facilities: usize, seed: u64) -> Model {
     let mut total_capacity = 0u64;
     let mut demand_row = LinExpr::new();
     let mut pairs = Vec::with_capacity(facilities);
-    for i in 0..facilities {
+    for _ in 0..facilities {
         let capacity = rng.in_range(30, 80);
         let open_cost = 2 * capacity + rng.in_range(0, 30);
         let flow_cost = 1 + rng.in_range(0, 4);
         total_capacity += capacity;
-        let open = m.add_binary(format!("open{i}"), open_cost as f64);
-        let flow = m.add_continuous(format!("flow{i}"), 0.0, capacity as f64, flow_cost as f64);
+        let open = m.add_binary(open_cost as f64);
+        let flow = m.add_continuous(0.0, capacity as f64, flow_cost as f64);
         demand_row.add_term(flow, 1.0);
         pairs.push((open, flow, capacity));
     }

@@ -33,8 +33,7 @@
 //! let items = [(10.0, 60.0), (20.0, 100.0), (30.0, 120.0)];
 //! let vars: Vec<_> = items
 //!     .iter()
-//!     .enumerate()
-//!     .map(|(i, &(_, value))| m.add_var(format!("x{i}"), VarKind::Binary, 0.0, 1.0, value))
+//!     .map(|&(_, value)| m.add_var(VarKind::Binary, 0.0, 1.0, value))
 //!     .collect();
 //! let weight = vars
 //!     .iter()

@@ -41,8 +41,8 @@ mod tests {
     #[test]
     fn indicator_constraints_fire_only_when_selected() {
         let mut m = Model::new(Sense::Maximize);
-        let b = m.add_binary("b", 0.0);
-        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
+        let b = m.add_binary(0.0);
+        let x = m.add_continuous(0.0, 10.0, 1.0);
         // b = 1 => x <= 3; force b = 1.
         indicator_le(&mut m, b, LinExpr::from(x), 3.0, 100.0);
         m.add_eq(LinExpr::from(b), 1.0);
@@ -51,8 +51,8 @@ mod tests {
 
         // Without forcing b, the solver leaves b = 0 and x at its bound.
         let mut m = Model::new(Sense::Maximize);
-        let b = m.add_binary("b", 0.0);
-        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
+        let b = m.add_binary(0.0);
+        let x = m.add_continuous(0.0, 10.0, 1.0);
         indicator_le(&mut m, b, LinExpr::from(x), 3.0, 100.0);
         let s = m.solve(&SolveOptions::default()).unwrap();
         assert!((s.values[x.index()] - 10.0).abs() < 1e-6);
@@ -61,8 +61,8 @@ mod tests {
     #[test]
     fn indicator_eq_pins_the_expression() {
         let mut m = Model::new(Sense::Minimize);
-        let b = m.add_binary("b", 0.0);
-        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
+        let b = m.add_binary(0.0);
+        let x = m.add_continuous(0.0, 10.0, 1.0);
         indicator_eq(&mut m, b, LinExpr::from(x), 6.0, 100.0);
         m.add_eq(LinExpr::from(b), 1.0);
         let s = m.solve(&SolveOptions::default()).unwrap();

@@ -44,171 +44,83 @@ impl VarKind {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct VarData {
-    pub name: String,
-    pub kind: VarKind,
-    pub lower: f64,
-    pub upper: f64,
-    pub objective: f64,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct ConstraintData {
-    pub expr: LinExpr,
-    pub op: ConstraintOp,
-    pub rhs: f64,
-    pub name: Option<String>,
-}
-
-/// A mixed-integer linear program.
+/// A mixed-integer linear program: its LP relaxation plus an integrality
+/// mask over the variables.
 ///
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Model {
-    sense: Sense,
-    pub(crate) vars: Vec<VarData>,
-    pub(crate) constraints: Vec<ConstraintData>,
+    pub(crate) lp: LinearProgram,
+    /// `true` for every binary and general integer variable.
+    pub(crate) is_integer: Vec<bool>,
 }
 
 impl Model {
     /// Creates an empty model with the given optimisation sense.
     pub fn new(sense: Sense) -> Model {
         Model {
-            sense,
-            vars: Vec::new(),
-            constraints: Vec::new(),
+            lp: LinearProgram::new(0, sense),
+            is_integer: Vec::new(),
         }
     }
 
     /// Optimisation sense.
     pub fn sense(&self) -> Sense {
-        self.sense
+        self.lp.sense()
     }
 
     /// Adds a variable and returns its id.
     ///
     /// Binary variables have their bounds clamped into `[0, 1]`.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        kind: VarKind,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
+    pub fn add_var(&mut self, kind: VarKind, lower: f64, upper: f64, objective: f64) -> VarId {
         let (lower, upper) = match kind {
             VarKind::Binary => (lower.max(0.0), upper.min(1.0)),
             _ => (lower, upper),
         };
-        self.vars.push(VarData {
-            name: name.into(),
-            kind,
-            lower,
-            upper,
-            objective,
-        });
-        VarId(self.vars.len() - 1)
+        let j = self.lp.add_var();
+        self.lp.set_bounds(j, lower, upper);
+        self.lp.set_objective_coeff(j, objective);
+        self.is_integer.push(kind.is_integer());
+        VarId(j)
     }
 
     /// Adds a continuous variable.
-    pub fn add_continuous(
-        &mut self,
-        name: impl Into<String>,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
-        self.add_var(name, VarKind::Continuous, lower, upper, objective)
+    pub fn add_continuous(&mut self, lower: f64, upper: f64, objective: f64) -> VarId {
+        self.add_var(VarKind::Continuous, lower, upper, objective)
     }
 
     /// Adds a binary (0-1) variable.
-    pub fn add_binary(&mut self, name: impl Into<String>, objective: f64) -> VarId {
-        self.add_var(name, VarKind::Binary, 0.0, 1.0, objective)
+    pub fn add_binary(&mut self, objective: f64) -> VarId {
+        self.add_var(VarKind::Binary, 0.0, 1.0, objective)
     }
 
     /// Adds a general integer variable.
-    pub fn add_integer(
-        &mut self,
-        name: impl Into<String>,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
-        self.add_var(name, VarKind::Integer, lower, upper, objective)
+    pub fn add_integer(&mut self, lower: f64, upper: f64, objective: f64) -> VarId {
+        self.add_var(VarKind::Integer, lower, upper, objective)
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.lp.num_vars()
     }
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.lp.num_constraints()
     }
 
     /// Number of integer (binary + general) variables.
     pub fn num_integer_vars(&self) -> usize {
-        self.vars.iter().filter(|v| v.kind.is_integer()).count()
+        self.is_integer.iter().filter(|&&i| i).count()
     }
 
-    /// Name of a variable.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
-    }
-
-    /// Kind of a variable.
-    pub fn var_kind(&self, var: VarId) -> VarKind {
-        self.vars[var.0].kind
-    }
-
-    /// Bounds of a variable.
-    pub fn var_bounds(&self, var: VarId) -> (f64, f64) {
-        (self.vars[var.0].lower, self.vars[var.0].upper)
-    }
-
-    /// Overwrites the bounds of a variable.
-    pub fn set_var_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
-        self.vars[var.0].lower = lower;
-        self.vars[var.0].upper = upper;
-    }
-
-    /// Sets the objective coefficient of a variable.
-    pub fn set_objective_coeff(&mut self, var: VarId, coeff: f64) {
-        self.vars[var.0].objective = coeff;
-    }
-
-    /// Adds `objective_delta` to the objective coefficient of a variable.
-    pub fn add_objective_coeff(&mut self, var: VarId, objective_delta: f64) {
-        self.vars[var.0].objective += objective_delta;
-    }
-
-    /// Adds a constraint `expr op rhs`. The constant term of `expr` is moved
-    /// to the right-hand side.
+    /// Adds a constraint `expr op rhs` as one row of the relaxation: the
+    /// terms of `expr` in [`VarId`] order, its constant term moved to the
+    /// right-hand side.
     pub fn add_constraint(&mut self, expr: impl Into<LinExpr>, op: ConstraintOp, rhs: f64) {
         let expr = expr.into();
-        let constant = expr.constant();
-        self.constraints.push(ConstraintData {
-            expr,
-            op,
-            rhs: rhs - constant,
-            name: None,
-        });
-    }
-
-    /// Adds a named constraint (names are used in diagnostics only).
-    pub fn add_named_constraint(
-        &mut self,
-        name: impl Into<String>,
-        expr: impl Into<LinExpr>,
-        op: ConstraintOp,
-        rhs: f64,
-    ) {
-        self.add_constraint(expr, op, rhs);
-        if let Some(last) = self.constraints.last_mut() {
-            last.name = Some(name.into());
-        }
+        let coeffs = expr.terms().map(|(v, coeff)| (v.0, coeff)).collect();
+        self.lp.add_constraint(coeffs, op, rhs - expr.constant());
     }
 
     /// Convenience: `expr <= rhs`.
@@ -244,13 +156,18 @@ impl Model {
         self.add_constraint(e, ConstraintOp::Eq, 0.0);
     }
 
-    /// Checks a full assignment against every constraint, returning the
+    /// Checks an assignment against every constraint, returning the
     /// violated constraint indices (useful for tests and for lazy-constraint
-    /// separation loops).
+    /// separation loops). Variables past the end of `values` — added since
+    /// the assignment was taken — count as 0.
     pub fn violated_constraints(&self, values: &[f64], tol: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        for (i, c) in self.constraints.iter().enumerate() {
-            let lhs = c.expr.evaluate(values) - c.expr.constant();
+        for (i, c) in self.lp.constraints().iter().enumerate() {
+            let lhs: f64 = c
+                .coeffs
+                .iter()
+                .map(|&(j, coeff)| coeff * values.get(j).copied().unwrap_or(0.0))
+                .sum();
             let ok = match c.op {
                 ConstraintOp::Le => lhs <= c.rhs + tol,
                 ConstraintOp::Ge => lhs >= c.rhs - tol,
@@ -263,18 +180,9 @@ impl Model {
         out
     }
 
-    /// Builds the continuous (LP) relaxation of the model.
+    /// A copy of the continuous (LP) relaxation the model holds.
     pub fn relaxation(&self) -> LinearProgram {
-        let mut lp = LinearProgram::new(self.vars.len(), self.sense);
-        for (i, v) in self.vars.iter().enumerate() {
-            lp.set_bounds(i, v.lower, v.upper);
-            lp.set_objective_coeff(i, v.objective);
-        }
-        for c in &self.constraints {
-            let coeffs: Vec<(usize, f64)> = c.expr.terms().map(|(v, coeff)| (v.0, coeff)).collect();
-            lp.add_constraint(coeffs, c.op, c.rhs);
-        }
-        lp
+        self.lp.clone()
     }
 
     /// Solves the model by branch and bound.
@@ -325,14 +233,16 @@ mod tests {
     #[test]
     fn variable_bookkeeping() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", -1.0, 2.0, 1.0);
-        let b = m.add_binary("b", 0.5);
-        let k = m.add_integer("k", 0.0, 7.0, -1.0);
+        let x = m.add_continuous(-1.0, 2.0, 1.0);
+        let b = m.add_binary(0.5);
+        let k = m.add_integer(0.0, 7.0, -1.0);
         assert_eq!(m.num_vars(), 3);
         assert_eq!(m.num_integer_vars(), 2);
-        assert_eq!(m.var_name(x), "x");
-        assert_eq!(m.var_kind(b), VarKind::Binary);
-        assert_eq!(m.var_bounds(k), (0.0, 7.0));
+        let lp = m.relaxation();
+        assert_eq!(lp.bounds(x.index()), (-1.0, 2.0));
+        assert_eq!(lp.bounds(k.index()), (0.0, 7.0));
+        assert_eq!(lp.objective(), &[1.0, 0.5, -1.0]);
+        assert_eq!(m.is_integer, vec![false, true, true]);
         assert!(VarKind::Integer.is_integer());
         assert!(!VarKind::Continuous.is_integer());
         assert_eq!(x.index(), 0);
@@ -342,25 +252,34 @@ mod tests {
     #[test]
     fn binary_bounds_are_clamped() {
         let mut m = Model::new(Sense::Minimize);
-        let b = m.add_var("b", VarKind::Binary, -3.0, 9.0, 0.0);
-        assert_eq!(m.var_bounds(b), (0.0, 1.0));
+        let b = m.add_var(VarKind::Binary, -3.0, 9.0, 0.0);
+        assert_eq!(m.relaxation().bounds(b.index()), (0.0, 1.0));
     }
 
     #[test]
     fn constraint_constant_folding() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
-        // x + 3 <= 7  ->  x <= 4
-        m.add_le(LinExpr::from(x) + 3.0, 7.0);
+        let x = m.add_continuous(0.0, 10.0, 1.0);
+        let y = m.add_continuous(0.0, 10.0, 1.0);
+        // (y + 3) + x + 2y <= 7  ->  one row x + 3y <= 4
+        m.add_le(LinExpr::from(y) + 3.0 + x + (y, 2.0), 7.0);
         assert_eq!(m.num_constraints(), 1);
-        assert_eq!(m.constraints[0].rhs, 4.0);
+        let lp = m.relaxation();
+        let row = &lp.constraints()[0];
+        assert_eq!(row.coeffs, vec![(x.index(), 1.0), (y.index(), 3.0)]);
+        assert_eq!(row.op, ConstraintOp::Le);
+        assert_eq!(row.rhs, 4.0);
+        // The row, not the expression, is what the check evaluates:
+        // x + 3y = 4 sits on the bound, x + 3y = 5 violates it.
+        assert!(m.violated_constraints(&[1.0, 1.0], 1e-9).is_empty());
+        assert_eq!(m.violated_constraints(&[2.0, 1.0], 1e-9), vec![0]);
     }
 
     #[test]
     fn violated_constraints_reports_indices() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 10.0, 0.0);
-        let y = m.add_continuous("y", 0.0, 10.0, 0.0);
+        let x = m.add_continuous(0.0, 10.0, 0.0);
+        let y = m.add_continuous(0.0, 10.0, 0.0);
         m.add_le(LinExpr::from(x) + y, 5.0);
         m.add_ge(LinExpr::from(x) - y, 1.0);
         m.add_eq(LinExpr::from(y), 2.0);
@@ -372,26 +291,26 @@ mod tests {
     #[test]
     fn relaxation_reflects_model() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_binary("x", 3.0);
-        let y = m.add_continuous("y", 0.0, 4.0, 1.0);
-        m.add_le(LinExpr::from(x) + (y, 2.0), 6.0);
+        let x = m.add_binary(3.0);
+        let y = m.add_continuous(0.0, 4.0, 1.0);
+        // 2y + x - 1 + y - y <= 5 folds to one row x + 2y <= 6.
+        m.add_le((LinExpr::from(y) * 2.0 + x - 1.0) + y - y, 5.0);
         let lp = m.relaxation();
+        assert_eq!(lp.sense(), Sense::Maximize);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 1);
         assert_eq!(lp.bounds(x.index()), (0.0, 1.0));
         assert_eq!(lp.bounds(y.index()), (0.0, 4.0));
+        assert_eq!(lp.objective(), &[3.0, 1.0]);
+        let row = &lp.constraints()[0];
+        assert_eq!(row.coeffs, vec![(x.index(), 1.0), (y.index(), 2.0)]);
+        assert_eq!(row.rhs, 6.0);
+        assert!(m.violated_constraints(&[1.0, 2.5], 1e-9).is_empty());
+        assert_eq!(m.violated_constraints(&[1.0, 3.0], 1e-9), vec![0]);
         let s = lp.solve().unwrap();
         assert!(
             (s.objective - 5.5).abs() < 1e-6,
             "relaxation optimum 3 + 2.5"
         );
-    }
-
-    #[test]
-    fn named_constraints_are_stored() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
-        m.add_named_constraint("cap", LinExpr::from(x), ConstraintOp::Le, 0.5);
-        assert_eq!(m.constraints[0].name.as_deref(), Some("cap"));
     }
 }

@@ -36,7 +36,7 @@ use std::thread::JoinHandle;
 
 use rfic_lp::sync::{self, LockExt, Slot};
 
-use crate::solve::{panic_payload_string, record_worker_failure, worker, MilpError, Shared};
+use crate::solve::{worker_caught, MilpError, Shared};
 
 /// One registered tree: the shared search state plus slot bookkeeping.
 struct QueuedTree {
@@ -230,22 +230,11 @@ fn worker_main(inner: Arc<PoolInner>) {
             }
         };
         let (id, tree, slot) = claimed;
-        // Panic boundary: a panicking solve fails only its own tree (the
-        // error is recorded and the tree stopped), while this worker
+        // A panicking solve fails only its own tree, while this worker
         // thread survives and moves on to the next queued tree — sibling
         // jobs keep their deterministic slot-index layout because the
         // claimed slot was consumed exactly as in a normal return.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker(&tree, slot);
-        }));
-        if let Err(payload) = outcome {
-            record_worker_failure(
-                &tree,
-                MilpError::Internal {
-                    site: panic_payload_string(payload.as_ref()),
-                },
-            );
-        }
+        worker_caught(&tree, slot);
         drop(tree);
         let mut state = inner.state.lock_recover();
         if let Some(pos) = state.queue.iter().position(|entry| entry.id == id) {

@@ -305,11 +305,6 @@ impl WarmStart {
     pub fn new() -> WarmStart {
         WarmStart::default()
     }
-
-    /// `true` once a root basis has been captured.
-    pub fn has_basis(&self) -> bool {
-        self.root_basis.is_some()
-    }
 }
 
 /// A branch-and-bound node: bound tightenings relative to the root model,
@@ -611,7 +606,7 @@ fn solve_node_lp(
 /// to the pool whenever another worker is starving. With one thread this is
 /// exactly the classical depth-first dive; with several, the pool keeps
 /// every worker on the globally most promising open subtrees.
-pub(crate) fn worker(shared: &Shared, worker_id: usize) {
+fn worker(shared: &Shared, worker_id: usize) {
     if rfic_lp::fault::fire("milp.pool.worker") {
         // `Singular` armed at a worker site: surface it as the same
         // numerical failure a singular refactorisation would produce.
@@ -682,7 +677,7 @@ pub(crate) fn worker_caught(shared: &Shared, worker_id: usize) {
 
 /// Records a worker-fatal error on the tree (first error wins) and stops
 /// the search.
-pub(crate) fn record_worker_failure(shared: &Shared, error: MilpError) {
+fn record_worker_failure(shared: &Shared, error: MilpError) {
     shared.error.fill(error);
     shared.request_stop();
 }
@@ -977,10 +972,9 @@ pub(crate) fn branch_and_bound(
     // shrink variable boxes, which keeps every root reduction valid in
     // every subtree. Integer columns keep unit scale factors, so branching
     // stays exact.
-    let full_is_integer: Vec<bool> = model.vars.iter().map(|v| v.kind.is_integer()).collect();
     let presolved = match model
-        .relaxation()
-        .presolve(&options.presolve, Some(&full_is_integer))
+        .lp
+        .presolve(&options.presolve, Some(&model.is_integer))
     {
         Ok(p) => p,
         Err(LpError::Infeasible) => return Err(MilpError::Infeasible),
@@ -995,7 +989,7 @@ pub(crate) fn branch_and_bound(
         .kept_columns()
         .iter()
         .enumerate()
-        .filter(|&(_, &fj)| full_is_integer[fj])
+        .filter(|&(_, &fj)| model.is_integer[fj])
         .map(|(j, _)| j)
         .collect();
 
@@ -1241,10 +1235,11 @@ fn round_integers(values: &[f64], integer_vars: &[usize]) -> Vec<f64> {
 
 fn evaluate_objective(model: &Model, values: &[f64]) -> f64 {
     model
-        .vars
+        .lp
+        .objective()
         .iter()
-        .enumerate()
-        .map(|(i, v)| v.objective * values[i])
+        .zip(values)
+        .map(|(c, x)| c * x)
         .sum()
 }
 
@@ -1303,8 +1298,8 @@ mod tests {
     #[test]
     fn pure_lp_model_is_solved_directly() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 4.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 4.0, 2.0);
+        let x = m.add_continuous(0.0, 4.0, 1.0);
+        let y = m.add_continuous(0.0, 4.0, 2.0);
         m.add_le(LinExpr::from(x) + y, 6.0);
         let s = m.solve(&SolveOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
@@ -1319,9 +1314,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let weights = [10.0, 20.0, 30.0];
         let values = [60.0, 100.0, 120.0];
-        let xs: Vec<_> = (0..3)
-            .map(|i| m.add_binary(format!("x{i}"), values[i]))
-            .collect();
+        let xs: Vec<_> = (0..3).map(|i| m.add_binary(values[i])).collect();
         let mut cap = LinExpr::new();
         for (x, w) in xs.iter().zip(weights) {
             cap.add_term(*x, w);
@@ -1339,7 +1332,7 @@ mod tests {
     fn integer_rounding_matters() {
         // max x s.t. 2x <= 7, x integer -> 3 (LP relaxation would give 3.5).
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_integer("x", 0.0, 10.0, 1.0);
+        let x = m.add_integer(0.0, 10.0, 1.0);
         m.add_le(LinExpr::from((x, 2.0)), 7.0);
         let s = m.solve(&SolveOptions::default()).unwrap();
         assert!((s.objective - 3.0).abs() < 1e-9);
@@ -1349,8 +1342,8 @@ mod tests {
     #[test]
     fn infeasible_binary_system() {
         let mut m = Model::new(Sense::Minimize);
-        let a = m.add_binary("a", 1.0);
-        let b = m.add_binary("b", 1.0);
+        let a = m.add_binary(1.0);
+        let b = m.add_binary(1.0);
         m.add_ge(LinExpr::from(a) + b, 3.0);
         assert_eq!(
             m.solve(&SolveOptions::default()),
@@ -1361,8 +1354,8 @@ mod tests {
     #[test]
     fn unbounded_relaxation_is_reported() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let b = m.add_binary("b", 0.0);
+        let x = m.add_continuous(0.0, f64::INFINITY, 1.0);
+        let b = m.add_binary(0.0);
         m.add_ge(LinExpr::from(x) + b, 1.0);
         assert_eq!(m.solve(&SolveOptions::default()), Err(MilpError::Unbounded));
     }
@@ -1372,11 +1365,7 @@ mod tests {
         // Choose exactly 2 of 4 items minimising cost.
         let mut m = Model::new(Sense::Minimize);
         let costs = [5.0, 1.0, 3.0, 2.0];
-        let xs: Vec<_> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| m.add_binary(format!("x{i}"), c))
-            .collect();
+        let xs: Vec<_> = costs.iter().map(|&c| m.add_binary(c)).collect();
         m.add_eq(LinExpr::sum(xs.iter().copied()), 2.0);
         let s = m.solve(&SolveOptions::default()).unwrap();
         assert!((s.objective - 3.0).abs() < 1e-9);
@@ -1388,8 +1377,8 @@ mod tests {
         // min 3b + x  s.t. x >= 2 - 10b, x >= 0, b binary.
         // b = 0 -> x = 2 (cost 2); b = 1 -> x = 0 (cost 3). Optimum 2.
         let mut m = Model::new(Sense::Minimize);
-        let b = m.add_binary("b", 3.0);
-        let x = m.add_continuous("x", 0.0, 100.0, 1.0);
+        let b = m.add_binary(3.0);
+        let x = m.add_continuous(0.0, 100.0, 1.0);
         m.add_ge(LinExpr::from(x) + (b, 10.0), 2.0);
         let s = m.solve(&SolveOptions::default()).unwrap();
         assert!((s.objective - 2.0).abs() < 1e-9);
@@ -1400,8 +1389,8 @@ mod tests {
     fn node_limit_without_solution_reports_limit() {
         let mut m = Model::new(Sense::Minimize);
         // A small but non-trivial model; a node limit of zero cannot find anything.
-        let a = m.add_binary("a", 1.0);
-        let b = m.add_binary("b", 1.0);
+        let a = m.add_binary(1.0);
+        let b = m.add_binary(1.0);
         m.add_ge(LinExpr::from(a) + b, 1.0);
         let opts = SolveOptions {
             node_limit: 0,
@@ -1415,18 +1404,8 @@ mod tests {
         // max  x + y == -(min -x -y)
         let build = |sense| {
             let mut m = Model::new(sense);
-            let x = m.add_integer(
-                "x",
-                0.0,
-                5.0,
-                if sense == Sense::Maximize { 1.0 } else { -1.0 },
-            );
-            let y = m.add_integer(
-                "y",
-                0.0,
-                5.0,
-                if sense == Sense::Maximize { 1.0 } else { -1.0 },
-            );
+            let x = m.add_integer(0.0, 5.0, if sense == Sense::Maximize { 1.0 } else { -1.0 });
+            let y = m.add_integer(0.0, 5.0, if sense == Sense::Maximize { 1.0 } else { -1.0 });
             m.add_le(LinExpr::from((x, 2.0)) + (y, 3.0), 12.0);
             m
         };
@@ -1442,9 +1421,7 @@ mod tests {
     #[test]
     fn gap_and_node_counters_are_reported() {
         let mut m = Model::new(Sense::Maximize);
-        let xs: Vec<_> = (0..6)
-            .map(|i| m.add_binary(format!("x{i}"), (i + 1) as f64))
-            .collect();
+        let xs: Vec<_> = (0..6).map(|i| m.add_binary((i + 1) as f64)).collect();
         m.add_le(LinExpr::sum(xs.iter().copied()), 3.0);
         let s = m.solve(&SolveOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
@@ -1496,7 +1473,7 @@ mod tests {
         let first = m
             .solve_warm(&SolveOptions::default(), &mut warm, None)
             .expect("first");
-        assert!(warm.has_basis());
+        assert!(warm.root_basis.is_some());
 
         // Append a cut excluding the current support.
         let chosen: Vec<_> = (0..m.num_vars())

@@ -52,7 +52,7 @@ fn golden_suite() -> Vec<(&'static str, Model)> {
     // segment-direction one-hot groups).
     let mut select = Model::new(Sense::Minimize);
     let xs: Vec<_> = (0..8)
-        .map(|i| select.add_binary(format!("x{i}"), 1.0 + (i % 4) as f64))
+        .map(|i| select.add_binary(1.0 + (i % 4) as f64))
         .collect();
     select.add_eq(LinExpr::sum(xs.iter().copied()), 3.0);
     select.add_ge(LinExpr::from(xs[0]) + xs[1] + xs[2], 1.0);
@@ -60,10 +60,10 @@ fn golden_suite() -> Vec<(&'static str, Model)> {
 
     // Big-M indicator structure (the non-overlap disjunctions).
     let mut bigm = Model::new(Sense::Minimize);
-    let d1 = bigm.add_binary("d1", 0.0);
-    let d2 = bigm.add_binary("d2", 0.0);
-    let x = bigm.add_continuous("x", 0.0, 100.0, 1.0);
-    let y = bigm.add_continuous("y", 0.0, 100.0, 1.0);
+    let d1 = bigm.add_binary(0.0);
+    let d2 = bigm.add_binary(0.0);
+    let x = bigm.add_continuous(0.0, 100.0, 1.0);
+    let y = bigm.add_continuous(0.0, 100.0, 1.0);
     bigm.add_ge(LinExpr::from(x) - (d1, 100.0), 30.0 - 100.0);
     bigm.add_ge(LinExpr::from(y) - (d2, 100.0), 40.0 - 100.0);
     bigm.add_le(LinExpr::from(d1) + d2, 1.0);
@@ -72,9 +72,9 @@ fn golden_suite() -> Vec<(&'static str, Model)> {
 
     // General integers with a fractional relaxation.
     let mut general = Model::new(Sense::Maximize);
-    let a = general.add_integer("a", 0.0, 9.0, 5.0);
-    let b = general.add_integer("b", 0.0, 9.0, 4.0);
-    let c = general.add_var("c", VarKind::Integer, 0.0, 9.0, 3.0);
+    let a = general.add_integer(0.0, 9.0, 5.0);
+    let b = general.add_integer(0.0, 9.0, 4.0);
+    let c = general.add_var(VarKind::Integer, 0.0, 9.0, 3.0);
     general.add_le(LinExpr::from((a, 6.0)) + (b, 4.0) + (c, 5.0), 29.0);
     general.add_le(LinExpr::from((a, 1.0)) + (b, 3.0) + (c, 1.0), 11.0);
     suite.push(("general_integers", general));

@@ -71,18 +71,6 @@ impl Technology {
     pub fn expansion_margin(&self) -> f64 {
         self.ground_distance
     }
-
-    /// Returns a copy with a different bend correction `δ`.
-    pub fn with_bend_delta(mut self, delta: f64) -> Technology {
-        self.bend_delta = delta;
-        self
-    }
-
-    /// Returns a copy with a different microstrip width.
-    pub fn with_strip_width(mut self, width: f64) -> Technology {
-        self.strip_width = width;
-        self
-    }
 }
 
 impl Default for Technology {
@@ -103,14 +91,5 @@ mod tests {
         assert_eq!(t.expansion_margin(), 5.0);
         assert!(t.bend_delta < 0.0, "chamfer shortens the path");
         assert_eq!(Technology::default(), t);
-    }
-
-    #[test]
-    fn builder_style_overrides() {
-        let t = Technology::cmos90()
-            .with_bend_delta(-1.0)
-            .with_strip_width(8.0);
-        assert_eq!(t.bend_delta, -1.0);
-        assert_eq!(t.strip_width, 8.0);
     }
 }

@@ -144,7 +144,7 @@ proptest! {
         let mut cap_expr = LinExpr::new();
         let vars: Vec<_> = (0..n)
             .map(|i| {
-                let v = model.add_var(format!("x{i}"), VarKind::Binary, 0.0, 1.0, values[i]);
+                let v = model.add_var(VarKind::Binary, 0.0, 1.0, values[i]);
                 cap_expr.add_term(v, weights[i]);
                 v
             })
