@@ -129,9 +129,12 @@ impl PilpConfig {
     /// Two extra refinement iterations — the phase where exact-length
     /// repairs land — over the default, with a 5 s limit per solve. Most
     /// solves finish far below that limit, but not all: on the `tiny`
-    /// circuit at target scale 1.04 one cluster-repair solve takes
-    /// 4.3–5.0 s, so some runs stop it at the limit with a different
-    /// incumbent and a different final layout.
+    /// circuit at target scale 1.04 (release, 2-core host) the
+    /// 19,923-node cluster-repair solve takes 3.2–4.5 s, a later
+    /// 91-variable repair solve 4.3–5.0 s and a 104-variable one stops
+    /// at the limit in every run, so runs that stop a solve at a
+    /// different point can end with a different incumbent and a
+    /// different final layout.
     pub fn fast() -> PilpConfig {
         PilpConfig {
             max_refine_iters: 6,

@@ -22,6 +22,10 @@
 //!   survive warm-start handoff on the [`Basis`], and batched
 //!   bound-to-bound flips of boxed nonbasics — the accelerator for the
 //!   warm branch-and-bound re-solve path,
+//! * an **objective cutoff** ([`LinearProgram::set_cutoff`]) that stops a
+//!   warm dual re-solve as soon as its dual bound proves the optimum
+//!   cannot beat it — branch and bound's incumbent pruning, applied
+//!   inside the node LP,
 //! * infeasibility and unboundedness detection, and
 //! * Bland's anti-cycling rule as a fallback after degenerate stalls.
 //!

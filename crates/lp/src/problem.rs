@@ -150,6 +150,7 @@ pub struct LinearProgram {
     constraints: Vec<Constraint>,
     iteration_limit: usize,
     time_limit: Option<std::time::Duration>,
+    cutoff: Option<f64>,
     cancel: Option<CancelToken>,
     pricing: PricingRule,
     /// Memoised constraint-matrix view (see [`MatrixCache`]); cleared by
@@ -173,6 +174,7 @@ impl PartialEq for LinearProgram {
             && self.constraints == other.constraints
             && self.iteration_limit == other.iteration_limit
             && self.time_limit == other.time_limit
+            && self.cutoff == other.cutoff
             && self.cancel == other.cancel
             && self.pricing == other.pricing
     }
@@ -216,6 +218,13 @@ pub enum LpError {
     /// The model itself is malformed (bad index, NaN coefficient, crossed
     /// bounds, ...).
     InvalidModel(String),
+    /// The dual simplex proved that the optimum cannot beat the cutoff set
+    /// with [`LinearProgram::set_cutoff`] and stopped there. The carried
+    /// solution is the last basic point of the dual: its `values` are not
+    /// primal feasible, its `objective` is that point's `cᵀx` recomputed
+    /// from scratch (at or past the cutoff, and a bound on the optimum),
+    /// and its counters are the work spent, all of it dual pivots.
+    Cutoff(LpSolution),
 }
 
 impl fmt::Display for LpError {
@@ -226,6 +235,11 @@ impl fmt::Display for LpError {
             LpError::IterationLimit => f.write_str("simplex iteration limit exceeded"),
             LpError::TimeLimit => f.write_str("simplex wall-clock limit exceeded"),
             LpError::InvalidModel(msg) => write!(f, "invalid linear program: {msg}"),
+            LpError::Cutoff(at) => write!(
+                f,
+                "objective bound {} reached the cutoff after {} pivots",
+                at.objective, at.iterations
+            ),
         }
     }
 }
@@ -245,6 +259,7 @@ impl LinearProgram {
             constraints: Vec::new(),
             iteration_limit: 50_000,
             time_limit: None,
+            cutoff: None,
             cancel: None,
             pricing: PricingRule::default(),
             matrix_cache: std::sync::OnceLock::new(),
@@ -336,6 +351,23 @@ impl LinearProgram {
     /// from blowing the budget.
     pub fn set_time_limit(&mut self, limit: Option<std::time::Duration>) {
         self.time_limit = limit;
+    }
+
+    /// Sets an objective cutoff; `None` (the default) means none. A warm
+    /// re-solve ([`LinearProgram::solve_warm`] with a basis) whose dual
+    /// simplex proves that the optimum is no better than `cutoff` (at
+    /// least `cutoff` when minimising, at most when maximising) stops with
+    /// [`LpError::Cutoff`] instead of finishing. The dual objective of a
+    /// dual-feasible basis only moves towards the optimum, so the proof is
+    /// exact up to the solver's tolerances; a solve that finishes without
+    /// stopping returns what it would have returned with no cutoff, bit
+    /// for bit. Branch and bound
+    /// sets the incumbent's pruning threshold here, so node LPs it would
+    /// discard after the solve stop as soon as that is certain. Cold
+    /// solves run no dual and ignore it; presolve does not carry it into
+    /// the reduced model, whose objective is offset.
+    pub fn set_cutoff(&mut self, cutoff: Option<f64>) {
+        self.cutoff = cutoff;
     }
 
     /// Attaches a cooperative [`CancelToken`], checked by the pivot loops
@@ -512,7 +544,9 @@ impl LinearProgram {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LinearProgram::solve`].
+    /// Same conditions as [`LinearProgram::solve`], plus
+    /// [`LpError::Cutoff`] when a cutoff is set and the warm dual re-solve
+    /// reaches it.
     pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<(LpSolution, Basis), LpError> {
         self.validate()?;
         revised::solve(self, warm)
@@ -560,6 +594,10 @@ impl LinearProgram {
 
     pub(crate) fn time_limit(&self) -> Option<std::time::Duration> {
         self.time_limit
+    }
+
+    pub(crate) fn cutoff(&self) -> Option<f64> {
+        self.cutoff
     }
 
     pub(crate) fn cancel_token(&self) -> Option<&CancelToken> {

@@ -33,7 +33,10 @@
 //!   breakpoints of the piecewise-linear dual objective and flips boxed
 //!   nonbasics bound-to-bound in one batched extra FTRAN. A dual ray (no
 //!   entering column) whose row provably cannot reach its violated bound
-//!   ends the solve as infeasible; any other ray falls back to the primal,
+//!   ends the solve as infeasible; any other ray falls back to the primal.
+//!   The engine tracks the objective of its basic point — the dual
+//!   objective, which only rises — and stops once it reaches a cutoff set
+//!   with [`LinearProgram::set_cutoff`],
 //! * **bound flips** — nonbasic variables with two finite bounds move
 //!   bound-to-bound without a basis change.
 //!
@@ -70,6 +73,9 @@ const MAX_PHASE_FLAPS: usize = 8;
 /// weight `βᵣ/αᵣ²` can collapse towards zero through a huge pivot, which
 /// would make that row look infinitely attractive forever after.
 const DSE_MIN_WEIGHT: f64 = 1e-4;
+/// Reduced-cost violation the dual engine tolerates: on entry (worse
+/// sends the solve to the primal) and when it confirms a cutoff.
+const DUAL_ENTRY_TOL: f64 = 1e-6;
 /// Ceiling on a dual steepest-edge reference weight: past this the
 /// incrementally maintained framework has drifted into pure noise (tiny
 /// pivots compounding), so the whole framework resets to unit weights.
@@ -239,6 +245,9 @@ enum DualOutcome {
     Feasible,
     /// Dual feasibility was lost or the engine stalled; run the primal.
     Abandoned,
+    /// The dual objective reached the cutoff ([`LinearProgram::set_cutoff`]):
+    /// the optimum cannot beat it, so the solve stops here.
+    Cutoff,
 }
 
 /// What blocks the entering variable in the primal ratio test.
@@ -267,6 +276,14 @@ struct Solver<'a> {
     factor: Factorization,
     /// Basic values by elimination position (parallel to `basic`).
     x_basic: Vec<f64>,
+    /// Minimised objective `cᵀx` of the basic point: recomputed with
+    /// `x_basic`, advanced by the dual engine's pivots and bound flips.
+    /// While the basis is dual feasible this is the dual objective, a
+    /// lower bound on the optimum that only rises.
+    objective: f64,
+    /// Minimised objective cutoff (`+∞` when none is set): the dual stops
+    /// once `objective` reaches it.
+    cutoff: f64,
     /// Pivots applied since `x_basic` was last recomputed from scratch —
     /// `usize::MAX` while it holds no valid values at all. Lets the
     /// engines share one computation across the dual entry, the primal
@@ -350,6 +367,8 @@ impl<'a> Solver<'a> {
             basic: Vec::new(),
             factor: Factorization::empty(),
             x_basic: vec![0.0; m],
+            objective: 0.0,
+            cutoff: lp.cutoff().map_or(f64::INFINITY, |c| sign * c),
             x_staleness: usize::MAX,
             iterations: 0,
             refactorizations: 0,
@@ -581,8 +600,18 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Recomputes the basic values `x_B = B⁻¹(b − N·x_N)`.
+    /// Recomputes the basic values `x_B = B⁻¹(b − N·x_N)` and, with them,
+    /// the objective.
     fn compute_x_basic(&mut self) {
+        let x_basic = self.basic_values();
+        self.objective = self.basic_objective(&x_basic);
+        self.x_basic = x_basic;
+        self.x_staleness = 0;
+    }
+
+    /// The basic values `x_B = B⁻¹(b − N·x_N)` computed from scratch, left
+    /// for the caller to install.
+    fn basic_values(&mut self) -> Vec<f64> {
         let mut rhs = self.rhs.clone();
         for j in 0..self.n + self.m {
             if self.statuses[j] == VarStatus::Basic {
@@ -596,8 +625,41 @@ impl<'a> Solver<'a> {
             }
         }
         self.factor.ftran_aux(&mut rhs);
-        self.x_basic = rhs;
-        self.x_staleness = 0;
+        rhs
+    }
+
+    /// Minimised objective `cᵀx` of the basic point with basic values
+    /// `x_basic` (logical variables cost nothing).
+    fn basic_objective(&self, x_basic: &[f64]) -> f64 {
+        let nonbasic: f64 = (0..self.n)
+            .filter(|&j| self.statuses[j] != VarStatus::Basic)
+            .map(|j| self.cost[j] * self.nonbasic_value(j))
+            .sum();
+        let basic: f64 = self
+            .basic
+            .iter()
+            .zip(x_basic)
+            .filter(|&(&j, _)| j < self.n)
+            .map(|(&j, &x)| self.cost[j] * x)
+            .sum();
+        nonbasic + basic
+    }
+
+    /// Structural values of the current basic point: nonbasics at their
+    /// bounds, basics at `x_basic`.
+    fn point(&self) -> Vec<f64> {
+        let mut values: Vec<f64> = (0..self.n)
+            .map(|j| match self.statuses[j] {
+                VarStatus::Basic => 0.0, // filled below
+                _ => self.nonbasic_value(j),
+            })
+            .collect();
+        for (k, &j) in self.basic.iter().enumerate() {
+            if j < self.n {
+                values[j] = self.x_basic[k];
+            }
+        }
+        values
     }
 
     /// Bound-violation tolerance for a bound value.
@@ -1113,13 +1175,7 @@ impl<'a> Solver<'a> {
             }
             let dj = self.cost[j] - self.column_dot(j, &y);
             *slot = dj;
-            let ok = match self.statuses[j] {
-                VarStatus::AtLower => dj >= -1e-6,
-                VarStatus::AtUpper => dj <= 1e-6,
-                VarStatus::Free => dj.abs() <= 1e-6,
-                VarStatus::Basic => true,
-            };
-            if !ok {
+            if !self.dual_feasible(j, dj) {
                 return Ok(DualOutcome::Abandoned);
             }
         }
@@ -1156,6 +1212,9 @@ impl<'a> Solver<'a> {
                 self.refactorize_or_reset()?;
                 self.compute_x_basic();
                 self.recompute_dual_reduced(&mut d);
+            }
+            if self.objective >= self.cutoff && self.confirm_cutoff(&d) {
+                return Ok(DualOutcome::Cutoff);
             }
 
             // Leaving row: the most violated basic (the pinned pre-DSE
@@ -1346,6 +1405,7 @@ impl<'a> Solver<'a> {
                         VarStatus::AtUpper => self.lower[j] - self.upper[j],
                         _ => 0.0,
                     };
+                    self.objective += d[j] * dx;
                     for (row, a) in self.column(j) {
                         flip_col[row] += a * dx;
                     }
@@ -1377,6 +1437,7 @@ impl<'a> Solver<'a> {
             for (k, &wk) in w.iter().enumerate() {
                 self.x_basic[k] -= delta * wk;
             }
+            self.objective += delta * d[q];
 
             if use_dse {
                 self.dse_update_weights(r, &w);
@@ -1416,6 +1477,42 @@ impl<'a> Solver<'a> {
                 self.recompute_dual_reduced(&mut d);
             }
         }
+    }
+
+    /// `true` when reduced cost `dj` of variable `j` is dual feasible within
+    /// [`DUAL_ENTRY_TOL`] (basic and fixed variables always are).
+    fn dual_feasible(&self, j: usize, dj: f64) -> bool {
+        if self.lower[j] == self.upper[j] {
+            return true;
+        }
+        match self.statuses[j] {
+            VarStatus::AtLower => dj >= -DUAL_ENTRY_TOL,
+            VarStatus::AtUpper => dj <= DUAL_ENTRY_TOL,
+            VarStatus::Free => dj.abs() <= DUAL_ENTRY_TOL,
+            VarStatus::Basic => true,
+        }
+    }
+
+    /// Confirms that the tracked objective has reached the cutoff: `cᵀx`
+    /// recomputed from scratch must still reach it, and the maintained
+    /// reduced costs `d` must still be dual feasible (a basis reset to the
+    /// logical one inside the dual is not), or the objective bounds
+    /// nothing. A failed confirmation only replaces the tracked objective
+    /// with the from-scratch one; `x_basic` stays as it was, so the pivots
+    /// that follow are exactly those of a solve without a cutoff.
+    fn confirm_cutoff(&mut self, d: &[f64]) -> bool {
+        let x_basic = self.basic_values();
+        self.objective = self.basic_objective(&x_basic);
+        let reached = self.objective >= self.cutoff
+            && d.iter()
+                .enumerate()
+                .all(|(j, &dj)| self.dual_feasible(j, dj));
+        if reached {
+            // The point the cutoff outcome reports.
+            self.x_basic = x_basic;
+            self.x_staleness = 0;
+        }
+        reached
     }
 
     /// `true` when a nonbasic variable with status `status` and pivot-row
@@ -1522,18 +1619,7 @@ impl<'a> Solver<'a> {
     /// solver (the factorisation moves into the returned [`Basis`]).
     fn extract(mut self) -> (LpSolution, Basis) {
         self.ensure_x_basic();
-        let mut values = vec![0.0; self.n];
-        for (j, value) in values.iter_mut().enumerate() {
-            *value = match self.statuses[j] {
-                VarStatus::Basic => 0.0, // filled below
-                _ => self.nonbasic_value(j),
-            };
-        }
-        for (k, &j) in self.basic.iter().enumerate() {
-            if j < self.n {
-                values[j] = self.x_basic[k];
-            }
-        }
+        let mut values = self.point();
         // Clamp round-off outside the bounds.
         for (j, v) in values.iter_mut().enumerate() {
             let (l, u) = (self.lp.lower_bounds()[j], self.lp.upper_bounds()[j]);
@@ -1546,15 +1632,30 @@ impl<'a> Solver<'a> {
             .zip(&values)
             .map(|(c, x)| c * x)
             .sum();
-        let solution = LpSolution {
+        let solution = self.solution(values, objective);
+        (solution, self.into_snapshot())
+    }
+
+    /// The outcome of a dual stopped at the cutoff: the confirmed basic
+    /// point (not primal feasible) with its from-scratch objective in the
+    /// model's own sense, and the work spent.
+    fn cutoff_solution(&self) -> LpSolution {
+        let sign = match self.lp.sense() {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        };
+        self.solution(self.point(), sign * self.objective)
+    }
+
+    fn solution(&self, values: Vec<f64>, objective: f64) -> LpSolution {
+        LpSolution {
             values,
             objective,
             iterations: self.iterations,
             refactorizations: self.refactorizations,
             dual_iterations: self.dual_iterations,
             bound_flips: self.bound_flips,
-        };
-        (solution, self.into_snapshot())
+        }
     }
 }
 
@@ -1576,7 +1677,9 @@ pub(crate) fn solve(
     if warm.is_some() {
         let r = solver.dual();
         dual_iters = solver.iterations;
-        r?;
+        if let DualOutcome::Cutoff = r? {
+            return Err(LpError::Cutoff(solver.cutoff_solution()));
+        }
         // Finish (or recover) with the primal: a no-op when the dual run
         // already reached the optimum.
     }

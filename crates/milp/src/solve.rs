@@ -221,6 +221,12 @@ pub struct MilpSolution {
     /// What root presolve removed from the relaxation the tree searched
     /// (all-zero counters when presolve is disabled or found nothing).
     pub presolve: PresolveStats,
+    /// Node LPs stopped at the incumbent cutoff: their dual simplex proved
+    /// the node bound-dominated before finishing, so the node was pruned
+    /// as the bound check after a finished LP would have pruned it (0
+    /// while the search holds no incumbent). Their pivots are part of
+    /// [`MilpSolution::simplex_iterations`].
+    pub cutoff_nodes: usize,
 }
 
 impl MilpSolution {
@@ -414,6 +420,8 @@ pub(crate) struct Shared {
     /// bits when idle); feeds the global gap computation.
     worker_bounds: Vec<AtomicU64>,
     nodes: AtomicUsize,
+    /// Node LPs stopped at the incumbent cutoff ([`Shared::node_cutoff`]).
+    cutoff_nodes: AtomicUsize,
     lp_work: LpWorkCounters,
     seq: AtomicU64,
     /// Workers blocked on the pool condvar (starvation signal: active
@@ -472,6 +480,22 @@ impl Shared {
             return false;
         }
         bound >= incumbent - 1e-9 || relative_gap(incumbent, bound) <= self.options.mip_gap
+    }
+
+    /// The objective cutoff for a node LP, in the presolved relaxation's
+    /// own sense: the bound at which [`Shared::dominated`] starts to hold
+    /// (either arm), with the sense and the presolve offset folded back
+    /// out of [`Shared::minimised_bound`]. `None` without an incumbent.
+    /// Read when the node starts; incumbents only improve, so a node LP
+    /// that reaches this value is dominated under any later incumbent too.
+    fn node_cutoff(&self) -> Option<f64> {
+        let incumbent = self.incumbent_bound();
+        if !incumbent.is_finite() {
+            return None;
+        }
+        let gap_arm = incumbent - self.options.mip_gap * incumbent.abs().max(1.0);
+        let threshold = (incumbent - 1e-9).min(gap_arm);
+        Some(self.sense_sign * threshold - self.postsolve.objective_offset())
     }
 
     fn remaining_time(&self) -> Duration {
@@ -594,7 +618,7 @@ fn solve_node_lp(
     } else {
         lp.solve().map(|solution| (solution, None))
     };
-    if let Ok((solution, _)) = &result {
+    if let Ok((solution, _)) | Err(LpError::Cutoff(solution)) = &result {
         counters.record(solution);
     }
     result
@@ -791,10 +815,24 @@ fn process_node(shared: &Shared, lp: &mut LinearProgram, current: Node, local: &
     // Solve the node LP (dual-simplex re-entry from the parent basis: only
     // one bound changed, so the parent basis stays dual feasible). The node
     // LP inherits the remaining wall-clock budget so a single degenerate LP
-    // cannot blow through the global time limit.
+    // cannot blow through the global time limit, and stops early once its
+    // dual bound reaches the incumbent cutoff.
     load_node_bounds(lp, shared, &current);
     lp.set_time_limit(Some(shared.remaining_time()));
-    let lp_result = solve_node_lp(lp, current.parent_basis.as_ref(), options, &shared.lp_work);
+    lp.set_cutoff(shared.node_cutoff());
+    let mut lp_result = solve_node_lp(lp, current.parent_basis.as_ref(), options, &shared.lp_work);
+    if let Err(LpError::Cutoff(at)) = &lp_result {
+        if shared.dominated(shared.minimised_bound(at.objective)) {
+            // Pruned exactly as the bound check below would prune the
+            // finished LP, whose bound is at least this one.
+            shared.cutoff_nodes.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        // The cutoff's threshold and the pruning rule disagree in the
+        // last bit: finish the LP as if no cutoff had been set.
+        lp.set_cutoff(None);
+        lp_result = solve_node_lp(lp, current.parent_basis.as_ref(), options, &shared.lp_work);
+    }
     let (lp_solution, mut node_basis) = match lp_result {
         Ok(pair) => pair,
         Err(LpError::Infeasible) | Err(LpError::Unbounded) => {
@@ -1058,6 +1096,7 @@ pub(crate) fn branch_and_bound(
             .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
             .collect(),
         nodes: AtomicUsize::new(1), // the root
+        cutoff_nodes: AtomicUsize::new(0),
         lp_work,
         seq: AtomicU64::new(0),
         waiting: AtomicUsize::new(0),
@@ -1145,6 +1184,7 @@ pub(crate) fn branch_and_bound(
 
     // --- assemble the result ----------------------------------------------
     let nodes_explored = shared.nodes.load(Ordering::Relaxed);
+    let cutoff_nodes = shared.cutoff_nodes.load(Ordering::Relaxed);
     let simplex_iterations = shared.lp_work.pivots.load(Ordering::Relaxed);
     let lp_refactorizations = shared.lp_work.refactorizations.load(Ordering::Relaxed);
     let lp_dual_iterations = shared.lp_work.dual_pivots.load(Ordering::Relaxed);
@@ -1163,7 +1203,7 @@ pub(crate) fn branch_and_bound(
     // traffic (see DESIGN.md); off unless RFIC_MILP_DEBUG is set.
     if std::env::var_os("RFIC_MILP_DEBUG").is_some() {
         eprintln!(
-            "[milp-solve] vars={} ints={} cons={} threads={thread_count} nodes={nodes_explored} pivots={simplex_iterations} elapsed={:?} incumbent={:?} limit_hit={limit_hit}",
+            "[milp-solve] vars={} ints={} cons={} threads={thread_count} nodes={nodes_explored} cutoff_nodes={cutoff_nodes} pivots={simplex_iterations} elapsed={:?} incumbent={:?} limit_hit={limit_hit}",
             model.num_vars(),
             model.num_integer_vars(),
             model.num_constraints(),
@@ -1204,6 +1244,7 @@ pub(crate) fn branch_and_bound(
                 lp_dual_iterations,
                 lp_bound_flips,
                 presolve: presolve_stats,
+                cutoff_nodes,
             })
         }
         None => {
@@ -1513,6 +1554,44 @@ mod tests {
             );
             assert!(m.violated_constraints(&parallel.values, 1e-6).is_empty());
         }
+    }
+
+    #[test]
+    fn node_lps_stop_at_the_incumbent_cutoff_without_moving_the_tree() {
+        // Objective, status and node count of the bench knapsacks as
+        // recorded (BENCH_pivots.txt) before node LPs had a cutoff.
+        for (items, objective, nodes) in [(20, 650.0, 2547), (30, 946.0, 4343)] {
+            let model = instances::bench_knapsack(items);
+            for pricing in [PricingRule::DualSteepestEdge, PricingRule::Dantzig] {
+                let s = model
+                    .solve(&SolveOptions::default().with_pricing(pricing))
+                    .expect("solve");
+                let case = format!("knapsack_{items} {pricing:?}");
+                assert_eq!(s.status, SolveStatus::Optimal, "{case}");
+                assert_eq!(s.objective, objective, "{case}");
+                assert_eq!(s.nodes, nodes, "{case}");
+                assert!(s.cutoff_nodes > 0, "{case}");
+            }
+            // Cold node LPs run no dual simplex, so none stops early.
+            let cold = model.solve(&SolveOptions::default().cold()).expect("cold");
+            assert_eq!(cold.objective, objective);
+            assert_eq!(cold.cutoff_nodes, 0);
+        }
+    }
+
+    #[test]
+    fn a_solve_settled_at_the_root_cuts_off_no_node() {
+        // The root LP is integral: no node LP runs before the first
+        // incumbent, here none runs at all, and only node LPs carry a
+        // cutoff (the root and the rounding heuristic never do).
+        let mut m = Model::new(Sense::Minimize);
+        let xs: Vec<_> = [5.0, 1.0, 3.0, 2.0]
+            .into_iter()
+            .map(|c| m.add_binary(c))
+            .collect();
+        m.add_eq(LinExpr::sum(xs.iter().copied()), 2.0);
+        let s = m.solve(&SolveOptions::default()).expect("solve");
+        assert_eq!((s.nodes, s.cutoff_nodes), (1, 0));
     }
 
     #[test]
